@@ -163,20 +163,14 @@ func New(nodes []Node, opt Options) (*Router, error) {
 	if len(nodes) == 0 {
 		return nil, errors.New("router: no nodes")
 	}
+	var err error
 	if opt.StringKeys {
-		if len(opt.FencesStr) != len(nodes)-1 {
-			return nil, fmt.Errorf("router: %d nodes need %d string fences, have %d", len(nodes), len(nodes)-1, len(opt.FencesStr))
-		}
-		if !ascending(opt.FencesStr) {
-			return nil, errors.New("router: string fences not strictly ascending")
-		}
+		err = checkFences(opt.FencesStr, len(nodes))
 	} else {
-		if len(opt.Fences) != len(nodes)-1 {
-			return nil, fmt.Errorf("router: %d nodes need %d fences, have %d", len(nodes), len(nodes)-1, len(opt.Fences))
-		}
-		if !ascending(opt.Fences) {
-			return nil, errors.New("router: fences not strictly ascending")
-		}
+		err = checkFences(opt.Fences, len(nodes))
+	}
+	if err != nil {
+		return nil, err
 	}
 	r := &Router{opt: opt, nodeRPCs: make([]atomic.Int64, len(nodes))}
 	for i, n := range nodes {
@@ -189,13 +183,18 @@ func New(nodes []Node, opt Options) (*Router, error) {
 	return r, nil
 }
 
-func ascending[K cmp.Ordered](s []K) bool {
-	for i := 1; i < len(s); i++ {
-		if s[i] <= s[i-1] {
-			return false
+// checkFences validates the fence set of the router's key mode: exactly
+// nodes-1 strictly ascending keys.
+func checkFences[K key](fences []K, nodes int) error {
+	if len(fences) != nodes-1 {
+		return fmt.Errorf("router: %d nodes need %d %T fences, have %d", nodes, nodes-1, *new(K), len(fences))
+	}
+	for i := 1; i < len(fences); i++ {
+		if fences[i] <= fences[i-1] {
+			return errors.New("router: fences not strictly ascending")
 		}
 	}
-	return true
+	return nil
 }
 
 // Close drops every pooled connection. In-flight operations on other
@@ -395,7 +394,48 @@ func (r *Router) tallyFanout(contacted, total int, pruned bool) {
 	}
 }
 
-// ---- uint64 operations ----
+// key is the router's key domain, which must match every node's store.
+type key interface{ uint64 | string }
+
+// fencesFor is the router's one key-mode check: it returns the fence set
+// of K's mode, panicking when K is not the router's key type.
+func fencesFor[K key](r *Router) []K {
+	var fences any = r.opt.Fences
+	mode := "uint64"
+	if r.opt.StringKeys {
+		fences, mode = r.opt.FencesStr, "string"
+	}
+	f, ok := fences.([]K)
+	if !ok {
+		panic(fmt.Sprintf("router: %T operation on a %s-keyed router", *new(K), mode))
+	}
+	return f
+}
+
+// fanOut runs rpc concurrently for every node active reports — for every
+// node when all is set, as lookups must still fetch each node's length —
+// then tallies the batch (active nodes are the contacted ones; the rest
+// count as pruned unless all is set) and joins the per-node errors.
+func (r *Router) fanOut(active func(i int) bool, all bool, rpc func(i int) error) error {
+	errs := make([]error, len(r.nodes))
+	var wg sync.WaitGroup
+	contacted := 0
+	for i := range r.nodes {
+		if active(i) {
+			contacted++
+		} else if !all {
+			continue
+		}
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			errs[i] = rpc(i)
+		}(i)
+	}
+	wg.Wait()
+	r.tallyFanout(contacted, len(r.nodes), !all)
+	return errors.Join(errs...)
+}
 
 // LookupBatch answers the global lower-bound position of every probe, in
 // probe order, over the partitioned keyspace: each node reports positions
@@ -404,34 +444,31 @@ func (r *Router) tallyFanout(contacted, total int, pruned bool) {
 // sums shard snapshot lengths. Every node is contacted (a probe-less node
 // still contributes its length to the offsets).
 func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
-	r.mustU64()
+	return lookupBatch(r, probes, (*server.Client).LookupBatch)
+}
+
+// LookupBatchString is LookupBatch for a string-keyed router.
+func (r *Router) LookupBatchString(probes []string) ([]int, error) {
+	return lookupBatch(r, probes, (*server.Client).LookupBatchString)
+}
+
+func lookupBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]int, int, error)) ([]int, error) {
+	fences := fencesFor[K](r)
 	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.Fences)
+	runs := splitRuns(sorted, fences)
 	lens := make([]int, len(r.nodes))
 	posPer := make([][]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] > runs[i][0] {
-			contacted++
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				pos, n, err := c.LookupBatch(sub)
-				if err == nil {
-					posPer[i], lens[i] = pos, n
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), false)
-	if err := errors.Join(errs...); err != nil {
+	err := r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, true, func(i int) error {
+		sub := sorted[runs[i][0]:runs[i][1]]
+		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
+			pos, n, err := rpc(c, sub)
+			if err == nil {
+				posPer[i], lens[i] = pos, n
+			}
+			return err
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	out := make([]int, len(probes))
@@ -448,38 +485,34 @@ func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
 // ContainsBatch answers Contains for every probe in probe order. Only the
 // nodes owning at least one probe are contacted.
 func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) {
-	r.mustU64()
+	return containsBatch(r, probes, (*server.Client).ContainsBatch)
+}
+
+// ContainsBatchString is ContainsBatch for a string-keyed router.
+func (r *Router) ContainsBatchString(probes []string) ([]bool, error) {
+	return containsBatch(r, probes, (*server.Client).ContainsBatchString)
+}
+
+func containsBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]bool, error)) ([]bool, error) {
+	fences := fencesFor[K](r)
 	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.Fences)
+	runs := splitRuns(sorted, fences)
 	out := make([]bool, len(probes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run := runs[i]
-			sub := sorted[run[0]:run[1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				bs, err := c.ContainsBatch(sub)
-				if err != nil {
-					return err
-				}
-				for j, b := range bs {
-					out[perm[run[0]+j]] = b
-				}
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
+	err := r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, false, func(i int) error {
+		run := runs[i]
+		sub := sorted[run[0]:run[1]]
+		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
+			bs, err := rpc(c, sub)
+			if err != nil {
+				return err
+			}
+			for j, b := range bs {
+				out[perm[run[0]+j]] = b
+			}
+			return nil
+		})
+	})
+	if err != nil {
 		return nil, err
 	}
 	return out, nil
@@ -490,258 +523,62 @@ func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) {
 // keys are no-ops (set semantics), so a partially failed call is safe to
 // retry verbatim.
 func (r *Router) InsertDurable(keys ...uint64) error {
-	r.mustU64()
+	return insertDurable(r, keys, (*server.Client).Insert)
+}
+
+// InsertDurableString is InsertDurable for a string-keyed router.
+func (r *Router) InsertDurableString(keys ...string) error {
+	return insertDurable(r, keys, (*server.Client).InsertString)
+}
+
+func insertDurable[K key](r *Router, keys []K, rpc func(*server.Client, []K) error) error {
+	fences := fencesFor[K](r)
 	sorted, _ := sortWithPerm(keys)
-	runs := splitRuns(sorted, r.opt.Fences)
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.nodes[i].primary.do(func(c *server.Client) error {
-				return c.Insert(sub)
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	return errors.Join(errs...)
+	runs := splitRuns(sorted, fences)
+	return r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, false, func(i int) error {
+		sub := sorted[runs[i][0]:runs[i][1]]
+		return r.nodes[i].primary.do(func(c *server.Client) error { return rpc(c, sub) })
+	})
 }
 
 // CountRange returns the exact number of keys in [lo, hi) by summing
 // per-node counts over the range clipped to each node's fences; nodes
 // whose range cannot intersect are never contacted.
 func (r *Router) CountRange(lo, hi uint64) (int, error) {
-	r.mustU64()
-	if hi <= lo {
-		r.batches.Add(1)
-		return 0, nil
-	}
-	counts := make([]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		clo, chi, ok := clipRange(lo, hi, r.opt.Fences, i)
-		if !ok {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int, clo, chi uint64) {
-			defer wg.Done()
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				n, err := c.CountRange(clo, chi, true)
-				if err == nil {
-					counts[i] = n
-				}
-				return err
-			})
-		}(i, clo, chi)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
-		return 0, err
-	}
-	total := 0
-	for _, n := range counts {
-		total += n
-	}
-	return total, nil
-}
-
-// clipRange intersects [lo, hi) with node i's fence range, reporting ok
-// when the intersection is non-empty.
-func clipRange[K cmp.Ordered](lo, hi K, fences []K, i int) (K, K, bool) {
-	if i > 0 && fences[i-1] > lo {
-		lo = fences[i-1]
-	}
-	if i < len(fences) && fences[i] < hi {
-		hi = fences[i]
-	}
-	return lo, hi, lo < hi
-}
-
-func (r *Router) mustU64() {
-	if r.opt.StringKeys {
-		panic("router: uint64 operation on a string-keyed router")
-	}
-}
-
-func (r *Router) mustStr() {
-	if !r.opt.StringKeys {
-		panic("router: string operation on a uint64-keyed router")
-	}
-}
-
-// ---- string operations (twins, mirroring serve.Store's mode split) ----
-
-// LookupBatchString is LookupBatch for a string-keyed router.
-func (r *Router) LookupBatchString(probes []string) ([]int, error) {
-	r.mustStr()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	lens := make([]int, len(r.nodes))
-	posPer := make([][]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] > runs[i][0] {
-			contacted++
-		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				pos, n, err := c.LookupBatchString(sub)
-				if err == nil {
-					posPer[i], lens[i] = pos, n
-				}
-				return err
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), false)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	out := make([]int, len(probes))
-	off := 0
-	for i, run := range runs {
-		for j, p := range posPer[i] {
-			out[perm[run[0]+j]] = p + off
-		}
-		off += lens[i]
-	}
-	return out, nil
-}
-
-// ContainsBatchString is ContainsBatch for a string-keyed router.
-func (r *Router) ContainsBatchString(probes []string) ([]bool, error) {
-	r.mustStr()
-	sorted, perm := sortWithPerm(probes)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	out := make([]bool, len(probes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			run := runs[i]
-			sub := sorted[run[0]:run[1]]
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				bs, err := c.ContainsBatchString(sub)
-				if err != nil {
-					return err
-				}
-				for j, b := range bs {
-					out[perm[run[0]+j]] = b
-				}
-				return nil
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
-		return nil, err
-	}
-	return out, nil
-}
-
-// InsertDurableString is InsertDurable for a string-keyed router.
-func (r *Router) InsertDurableString(keys ...string) error {
-	r.mustStr()
-	sorted, _ := sortWithPerm(keys)
-	runs := splitRuns(sorted, r.opt.FencesStr)
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		if runs[i][1] == runs[i][0] {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sub := sorted[runs[i][0]:runs[i][1]]
-			errs[i] = r.nodes[i].primary.do(func(c *server.Client) error {
-				return c.InsertString(sub)
-			})
-		}(i)
-	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	return errors.Join(errs...)
+	return countRange(r, lo, hi, true, (*server.Client).CountRange)
 }
 
 // CountRangeString is CountRange for a string-keyed router.
 func (r *Router) CountRangeString(lo, hi string) (int, error) {
-	r.mustStr()
-	if hi <= lo {
-		r.batches.Add(1)
-		return 0, nil
-	}
-	return r.countStr(lo, hi, true)
+	return countRange(r, lo, hi, true, (*server.Client).CountRangeString)
 }
 
 // CountFromString counts every key >= lo.
 func (r *Router) CountFromString(lo string) (int, error) {
-	r.mustStr()
-	return r.countStr(lo, "", false)
+	return countRange(r, lo, "", false, (*server.Client).CountRangeString)
 }
 
-func (r *Router) countStr(lo, hi string, bounded bool) (int, error) {
-	counts := make([]int, len(r.nodes))
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
-	contacted := 0
-	for i := range r.nodes {
-		clo := lo
-		if i > 0 && r.opt.FencesStr[i-1] > clo {
-			clo = r.opt.FencesStr[i-1]
-		}
-		chi, cbounded := hi, bounded
-		if i < len(r.opt.FencesStr) && (!cbounded || r.opt.FencesStr[i] < chi) {
-			chi, cbounded = r.opt.FencesStr[i], true
-		}
-		if cbounded && clo >= chi {
-			continue
-		}
-		contacted++
-		wg.Add(1)
-		go func(i int, clo, chi string, cbounded bool) {
-			defer wg.Done()
-			errs[i] = r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-				n, err := c.CountRangeString(clo, chi, cbounded)
-				if err == nil {
-					counts[i] = n
-				}
-				return err
-			})
-		}(i, clo, chi, cbounded)
+func countRange[K key](r *Router, lo, hi K, bounded bool, rpc func(*server.Client, K, K, bool) (int, error)) (int, error) {
+	fences := fencesFor[K](r)
+	if bounded && hi <= lo {
+		r.batches.Add(1)
+		return 0, nil
 	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), true)
-	if err := errors.Join(errs...); err != nil {
+	counts := make([]int, len(r.nodes))
+	err := r.fanOut(func(i int) bool {
+		_, _, _, ok := clipRange(lo, hi, bounded, fences, i)
+		return ok
+	}, false, func(i int) error {
+		clo, chi, cbounded, _ := clipRange(lo, hi, bounded, fences, i)
+		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
+			n, err := rpc(c, clo, chi, cbounded)
+			if err == nil {
+				counts[i] = n
+			}
+			return err
+		})
+	})
+	if err != nil {
 		return 0, err
 	}
 	total := 0
@@ -749,4 +586,17 @@ func (r *Router) countStr(lo, hi string, bounded bool) (int, error) {
 		total += n
 	}
 	return total, nil
+}
+
+// clipRange intersects [lo, hi) — [lo, ∞) when bounded is false — with
+// node i's fence range. The clipped range is bounded whenever the node has
+// an upper fence; ok reports a non-empty intersection.
+func clipRange[K key](lo, hi K, bounded bool, fences []K, i int) (clo, chi K, cbounded, ok bool) {
+	if i > 0 && fences[i-1] > lo {
+		lo = fences[i-1]
+	}
+	if i < len(fences) && (!bounded || fences[i] < hi) {
+		hi, bounded = fences[i], true
+	}
+	return lo, hi, bounded, !bounded || lo < hi
 }

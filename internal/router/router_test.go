@@ -428,3 +428,53 @@ func TestRouterFollowerReads(t *testing.T) {
 		}
 	}
 }
+
+// TestRouterModePanics locks in the router's cross-mode discipline: every
+// uint64 method on a string-keyed router, and every string method on a
+// uint64 router, panics before touching the network. The routers have one
+// node, so neither mode has fences to index, and nothing listens on the
+// transport: a call that skipped the check would fail with a dial error
+// instead of panicking.
+func TestRouterModePanics(t *testing.T) {
+	tr := repl.NewMemTransport()
+	ru, err := New(clusterNodes(1), Options{Transport: tr, RetryAttempts: 1})
+	if err != nil {
+		t.Fatalf("uint64 router: %v", err)
+	}
+	defer ru.Close()
+	rs, err := New(clusterNodes(1), Options{Transport: tr, StringKeys: true, RetryAttempts: 1})
+	if err != nil {
+		t.Fatalf("string router: %v", err)
+	}
+	defer rs.Close()
+	for _, tc := range []struct {
+		name string
+		call func()
+	}{
+		{"LookupBatch", func() { rs.LookupBatch([]uint64{1}) }},
+		{"ContainsBatch", func() { rs.ContainsBatch([]uint64{1}) }},
+		{"InsertDurable", func() { rs.InsertDurable(1) }},
+		{"CountRange", func() { rs.CountRange(1, 2) }},
+		{"CountRange/empty", func() { rs.CountRange(2, 1) }},
+		{"Scan", func() { rs.Scan(1, 2) }},
+		{"ScanBatch", func() { rs.ScanBatch(1, 2, nil) }},
+		{"LookupBatchString", func() { ru.LookupBatchString([]string{"a"}) }},
+		{"ContainsBatchString", func() { ru.ContainsBatchString([]string{"a"}) }},
+		{"InsertDurableString", func() { ru.InsertDurableString("a") }},
+		{"CountRangeString", func() { ru.CountRangeString("a", "b") }},
+		{"CountRangeString/empty", func() { ru.CountRangeString("b", "a") }},
+		{"CountFromString", func() { ru.CountFromString("a") }},
+		{"ScanString", func() { ru.ScanString("a", "b") }},
+		{"ScanStringFrom", func() { ru.ScanStringFrom("a") }},
+		{"ScanBatchString", func() { ru.ScanBatchString("a", "b", nil) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("%s did not panic", tc.name)
+				}
+			}()
+			tc.call()
+		})
+	}
+}

@@ -97,103 +97,55 @@ func (s *RangeScan[K]) Close() { s.it.Close() }
 // merging per-node pages through the loser tree. Nodes whose fence range
 // cannot intersect [lo, hi) are pruned. Check Err after the stream ends.
 func (r *Router) Scan(lo, hi uint64) *RangeScan[uint64] {
-	r.mustU64()
-	rs := &RangeScan[uint64]{it: scan.Get[uint64]()}
+	return openScan(r, lo, hi, true, succUint64, (*server.Client).Scan)
+}
+
+// ScanString streams every key in [lo, hi) of a string-keyed router.
+func (r *Router) ScanString(lo, hi string) *RangeScan[string] {
+	return openScan(r, lo, hi, true, succString, (*server.Client).ScanString)
+}
+
+// ScanStringFrom streams every key >= lo of a string-keyed router.
+func (r *Router) ScanStringFrom(lo string) *RangeScan[string] {
+	return openScan(r, lo, "", false, succString, (*server.Client).ScanString)
+}
+
+// succUint64 is the smallest key after k, if any.
+func succUint64(k uint64) (uint64, bool) {
+	if k == math.MaxUint64 {
+		return 0, false
+	}
+	return k + 1, true
+}
+
+// succString is the smallest string after k: k with a NUL appended.
+func succString(k string) (string, bool) { return k + "\x00", true }
+
+// openScan is the body of every scan entry point; bounded selects [lo, hi)
+// vs keys >= lo, succ is the key type's resume successor, and rpc fetches
+// one node's page.
+func openScan[K key](r *Router, lo, hi K, bounded bool, succ func(K) (K, bool),
+	rpc func(c *server.Client, lo, hi K, bounded bool, limit int) ([]K, bool, error)) *RangeScan[K] {
+	fences := fencesFor[K](r)
+	rs := &RangeScan[K]{it: scan.Get[K]()}
 	contacted := 0
 	for i := range r.nodes {
-		clo, chi, ok := clipRange(lo, hi, r.opt.Fences, i)
+		clo, chi, cbounded, ok := clipRange(lo, hi, bounded, fences, i)
 		if !ok {
 			continue
 		}
 		contacted++
 		ep := r.readEndpoint(r.nodes[i])
-		cur := &remoteCursor[uint64]{
-			limit: r.opt.ScanPageKeys,
-			errp:  &rs.err,
-			succ: func(k uint64) (uint64, bool) {
-				if k == math.MaxUint64 {
-					return 0, false
-				}
-				return k + 1, true
-			},
-		}
-		cur.fetch = func(from uint64, limit int) ([]uint64, bool, error) {
+		cur := &remoteCursor[K]{limit: r.opt.ScanPageKeys, errp: &rs.err, succ: succ}
+		cur.fetch = func(from K, limit int) ([]K, bool, error) {
 			if from < clo {
 				from = clo
 			}
-			var page []uint64
+			var page []K
 			var more bool
 			err := ep.do(func(c *server.Client) error {
 				var e error
-				page, more, e = c.Scan(from, chi, true, limit)
-				return e
-			})
-			return page, more, err
-		}
-		rs.it.Add(cur)
-	}
-	r.tallyFanout(contacted, len(r.nodes), true)
-	rs.it.Start(lo, hi, nil)
-	return rs
-}
-
-// ScanBatch appends every key in [lo, hi) to dst in ascending order and
-// returns it, or the first node failure.
-func (r *Router) ScanBatch(lo, hi uint64, dst []uint64) ([]uint64, error) {
-	s := r.Scan(lo, hi)
-	defer s.Close()
-	for s.Next() {
-		dst = append(dst, s.Key())
-	}
-	return dst, s.Err()
-}
-
-// ScanString streams every key in [lo, hi) of a string-keyed router.
-func (r *Router) ScanString(lo, hi string) *RangeScan[string] {
-	r.mustStr()
-	return r.scanStr(lo, hi, true)
-}
-
-// ScanStringFrom streams every key >= lo of a string-keyed router.
-func (r *Router) ScanStringFrom(lo string) *RangeScan[string] {
-	r.mustStr()
-	return r.scanStr(lo, "", false)
-}
-
-func (r *Router) scanStr(lo, hi string, bounded bool) *RangeScan[string] {
-	rs := &RangeScan[string]{it: scan.Get[string]()}
-	contacted := 0
-	for i := range r.nodes {
-		clo := lo
-		if i > 0 && r.opt.FencesStr[i-1] > clo {
-			clo = r.opt.FencesStr[i-1]
-		}
-		chi, cbounded := hi, bounded
-		if i < len(r.opt.FencesStr) && (!cbounded || r.opt.FencesStr[i] < chi) {
-			chi, cbounded = r.opt.FencesStr[i], true
-		}
-		if cbounded && clo >= chi {
-			continue
-		}
-		contacted++
-		ep := r.readEndpoint(r.nodes[i])
-		cur := &remoteCursor[string]{
-			limit: r.opt.ScanPageKeys,
-			errp:  &rs.err,
-			// The successor of a string under lower-bound resume is the
-			// same string with a NUL appended: the smallest strictly
-			// greater key.
-			succ: func(k string) (string, bool) { return k + "\x00", true },
-		}
-		cur.fetch = func(from string, limit int) ([]string, bool, error) {
-			if from < clo {
-				from = clo
-			}
-			var page []string
-			var more bool
-			err := ep.do(func(c *server.Client) error {
-				var e error
-				page, more, e = c.ScanString(from, chi, cbounded, limit)
+				page, more, e = rpc(c, from, chi, cbounded, limit)
 				return e
 			})
 			return page, more, err
@@ -209,10 +161,19 @@ func (r *Router) scanStr(lo, hi string, bounded bool) *RangeScan[string] {
 	return rs
 }
 
+// ScanBatch appends every key in [lo, hi) to dst in ascending order and
+// returns it, or the first node failure.
+func (r *Router) ScanBatch(lo, hi uint64, dst []uint64) ([]uint64, error) {
+	return drainScan(r.Scan(lo, hi), dst)
+}
+
 // ScanBatchString appends every key in [lo, hi) to dst in ascending order
 // and returns it, or the first node failure.
 func (r *Router) ScanBatchString(lo, hi string, dst []string) ([]string, error) {
-	s := r.ScanString(lo, hi)
+	return drainScan(r.ScanString(lo, hi), dst)
+}
+
+func drainScan[K key](s *RangeScan[K], dst []K) ([]K, error) {
 	defer s.Close()
 	for s.Next() {
 		dst = append(dst, s.Key())

@@ -15,9 +15,7 @@ import (
 	"sync"
 
 	"learnedindex/internal/core"
-	"learnedindex/internal/obs"
 	"learnedindex/internal/repl"
-	"learnedindex/internal/storage"
 )
 
 // ErrFollowerStore is returned by the error-returning write paths of a
@@ -55,40 +53,17 @@ func openFollower(cfg core.Config, opt Options, fopt repl.FollowerOptions, strKe
 	if opt.Dir == "" {
 		return nil, fmt.Errorf("serve: a follower store needs Options.Dir (its replica is durable)")
 	}
-	reg := obs.NewRegistry()
-	eng, err := storage.Open(opt.Dir, storage.Options{
-		Config:           cfg,
-		BloomFPR:         opt.BloomFPR,
-		CompactFanout:    opt.CompactFanout,
-		StringKeys:       strKeys,
-		Reg:              reg,
-		FS:               opt.FS,
-		ScrubInterval:    opt.ScrubInterval,
-		BackpressureDebt: opt.BackpressureDebt,
-	})
-	if err != nil {
-		return nil, err
-	}
 	// No background merger: the follower's applier drives its own flush
 	// cadence (FollowerOptions.FlushEvery), and there are no local inserts
 	// to drain. Flush/Close still drain synchronously via the engine.
-	s := &Store{
-		strKeys:    strKeys,
-		cfg:        cfg,
-		thresh:     4096,
-		mergeCh:    make(chan int, 1),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-		eng:        eng,
-	}
-	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
-		eng.Close()
+	opt.MergeThreshold = 4096
+	s, err := openEngine(cfg, opt, strKeys)
+	if err != nil {
 		return nil, err
 	}
-	fol, err := repl.NewFollower(eng, fopt)
+	fol, err := repl.NewFollower(s.eng, fopt)
 	if err != nil {
-		s.closeDebug()
-		eng.Close()
+		s.abort()
 		return nil, err
 	}
 	s.repl.follower = fol

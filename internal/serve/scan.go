@@ -45,68 +45,118 @@ import (
 // scanState is the pooled per-scan working set: the captured view (shard
 // snapshots + delta copy, or the pinned storage snapshot) plus the backing
 // array for the concrete slice cursors. It implements scan.Closer, so the
-// iterator's Close returns everything here to the pool.
-type scanState struct {
+// iterator's Close returns everything here to the pool of its key type.
+// A pooled state is always empty: CloseScan truncates every slice.
+type scanState[K keyType] struct {
+	pool  *sync.Pool
 	snap  *storage.Snapshot
-	snaps []*snapshot
-	delta []uint64
-	kcs   []scan.KeysCursor[uint64]
-	// String-mode twins; only one trio is populated per scan.
-	ssnaps []*strSnapshot
-	sdelta []string
-	scs    []scan.KeysCursor[string]
+	snaps []*snapshot[K]
+	delta []K
+	kcs   []scan.KeysCursor[K]
 }
 
-var scanStatePool = sync.Pool{New: func() any { return new(scanState) }}
+func getScanState[K keyType](d *domain[K]) *scanState[K] {
+	st := d.scans.Get().(*scanState[K])
+	st.pool = &d.scans
+	return st
+}
 
 // CloseScan unpins the storage snapshot (persistent scans), drops snapshot
 // references, and recycles the state. Runs via Iterator.Close after every
 // cursor has been released.
-func (st *scanState) CloseScan() {
+func (st *scanState[K]) CloseScan() {
 	if st.snap != nil {
 		st.snap.Release()
 		st.snap = nil
 	}
-	for i := range st.snaps {
-		st.snaps[i] = nil
-	}
+	clear(st.snaps)
 	st.snaps = st.snaps[:0]
+	// Zero the delta: the pooled backing array must not pin key bytes from
+	// a finished scan.
+	clear(st.delta)
+	st.delta = st.delta[:0]
 	st.kcs = st.kcs[:0] // cursor Release already dropped the key refs
-	for i := range st.ssnaps {
-		st.ssnaps[i] = nil
-	}
-	st.ssnaps = st.ssnaps[:0]
-	// Zero the delta's string entries: the pooled backing array must not
-	// pin key bytes from a finished scan.
-	for i := range st.sdelta {
-		st.sdelta[i] = ""
-	}
-	st.sdelta = st.sdelta[:0]
-	st.scs = st.scs[:0]
-	scanStatePool.Put(st)
+	st.pool.Put(st)
 }
 
-// captureInMemory copies the delta layer (every shard's buffer plus any
-// in-flight draining batch, restricted to [lo, hi) so the sort cost
-// scales with delta∩range rather than the whole buffer) and THEN loads
-// each shard's published snapshot. The order is the loss-free invariant: a
-// drain moves keys buffer → draining → snapshot, clearing draining only
-// after publication, so copying buffers first can duplicate a migrating
-// key (dedup absorbs it) but never miss one.
-func (st *scanState) captureInMemory(s *Store, lo, hi uint64) {
-	st.delta = st.delta[:0]
-	for _, sh := range s.shards {
+// capture copies the delta layer (every shard's buffer plus any in-flight
+// draining batch, restricted to [lo, hi) — keys >= lo when unbounded — so
+// the sort cost scales with delta∩range rather than the whole buffer) and
+// THEN loads each shard's published snapshot. The order is the loss-free
+// invariant: a drain moves keys buffer → draining → snapshot, clearing
+// draining only after publication, so copying buffers first can duplicate
+// a migrating key (dedup absorbs it) but never miss one.
+func (st *scanState[K]) capture(m *shards[K], lo, hi K, bounded bool) {
+	for _, sh := range m.sh {
 		sh.mu.Lock()
-		st.delta = scan.AppendInRange(st.delta, sh.buf, lo, hi)
-		st.delta = scan.AppendInRange(st.delta, sh.draining, lo, hi)
+		if bounded {
+			st.delta = scan.AppendInRange(st.delta, sh.buf, lo, hi)
+			st.delta = scan.AppendInRange(st.delta, sh.draining, lo, hi)
+		} else {
+			st.delta = scan.AppendFrom(st.delta, sh.buf, lo)
+			st.delta = scan.AppendFrom(st.delta, sh.draining, lo)
+		}
 		sh.mu.Unlock()
 	}
 	slices.Sort(st.delta)
-	st.delta = dedupSorted(st.delta)
-	st.snaps = st.snaps[:0]
-	for _, sh := range s.shards {
+	st.delta = slices.Compact(st.delta)
+	for _, sh := range m.sh {
 		st.snaps = append(st.snaps, sh.snap.Load())
 	}
+}
+
+// addKeys appends a cursor over a non-empty sorted key slice, entered
+// through pos (nil: binary search).
+func (st *scanState[K]) addKeys(ks []K, pos scan.Positioner[K]) {
+	if len(ks) == 0 {
+		return
+	}
+	st.kcs = append(st.kcs, scan.KeysCursor[K]{})
+	st.kcs[len(st.kcs)-1].Reset(ks, pos)
+}
+
+// addCursors hands every slice cursor to it, in order. Call it only once
+// kcs is complete: appending may move the array the pointers index.
+func (st *scanState[K]) addCursors(it *scan.Iterator[K]) {
+	for i := range st.kcs {
+		it.Add(&st.kcs[i])
+	}
+}
+
+// overlaps reports whether the snapshot may hold a key in [lo, hi) — keys
+// >= lo when unbounded: shards are range-disjoint, so this fence check
+// prunes all but the covering ones.
+func (sn *snapshot[K]) overlaps(lo, hi K, bounded bool) bool {
+	ks := sn.keys
+	return len(ks) > 0 && (!bounded || ks[0] < hi) && ks[len(ks)-1] >= lo
+}
+
+// engineScanUint64 pins the engine's view of [lo, hi) in st and adds its
+// layers to it: the unflushed delta first (the newest layer wins merge
+// ties), then one lazy block-decoding cursor per overlapping segment.
+func engineScanUint64(e *storage.Engine, st *scanState[uint64], it *scan.Iterator[uint64], lo, hi uint64, _ bool) {
+	sn := e.AcquireSnapshotRange(lo, hi)
+	st.snap = sn
+	st.addKeys(sn.Pending(), nil)
+	st.addCursors(it)
+	for i := 0; i < sn.NumSegments(); i++ {
+		if c := sn.SegmentCursor(i, lo, hi); c != nil {
+			it.Add(c)
+		}
+	}
+}
+
+// engineScanString is engineScanUint64 in string mode, where each
+// overlapping segment is a decoded key slice entered through its codec
+// index.
+func engineScanString(e *storage.Engine, st *scanState[string], it *scan.Iterator[string], lo, hi string, bounded bool) {
+	sn := e.AcquireSnapshotRangeStr(lo, hi, bounded)
+	st.snap = sn
+	st.addKeys(sn.PendingStrings(), nil)
+	for i := 0; i < sn.NumSegments(); i++ {
+		st.addKeys(sn.SegmentStrings(i, lo, hi, bounded))
+	}
+	st.addCursors(it)
 }
 
 // Scan opens a streaming merge over every key in [lo, hi): ascending,
@@ -115,9 +165,28 @@ func (st *scanState) captureInMemory(s *Store, lo, hi uint64) {
 // and always Close it; Seek repositions within the range. hi is exclusive,
 // so ^uint64(0) scans to the end of the domain save the maximal key.
 func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
-	if s.strKeys {
-		panic("serve: uint64 scan on a string-keyed store")
-	}
+	return openScan(s, uint64Keys, lo, hi, true)
+}
+
+// ScanString opens a streaming merge over every string key in [lo, hi):
+// ascending codec (byte) order, deduplicated, snapshot-consistent like
+// Scan. hi is exclusive; use ScanStringFrom to scan without an upper
+// bound. Always Close the iterator.
+func (s *Store) ScanString(lo, hi string) *scan.Iterator[string] {
+	return openScan(s, stringKeys, lo, hi, true)
+}
+
+// ScanStringFrom opens a scan over every string key >= lo, to the end of
+// the store — the unbounded-above form a maximal-key sentinel cannot
+// express in the string domain.
+func (s *Store) ScanStringFrom(lo string) *scan.Iterator[string] {
+	return openScan(s, stringKeys, lo, "", false)
+}
+
+// openScan is the body of every scan entry point; bounded selects [lo, hi)
+// vs keys >= lo.
+func openScan[K keyType](s *Store, d *domain[K], lo, hi K, bounded bool) *scan.Iterator[K] {
+	m := keyed(s, d, "scan")
 	// Scan opens are cold next to the per-key stream, so the open (capture
 	// + seed seeks) is timed unconditionally when metrics are built in; the
 	// per-key path stays untouched — the iterator reports its emitted-key
@@ -127,50 +196,28 @@ func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
 	if obs.Enabled {
 		start = time.Now()
 	}
-	it := scan.Get[uint64]()
+	it := scan.Get[K]()
 	it.SetObs(s.m.scanKeys)
-	st := scanStatePool.Get().(*scanState)
-	if s.eng != nil {
-		sn := s.eng.AcquireSnapshotRange(lo, hi)
-		st.snap = sn
-		if p := sn.Pending(); len(p) > 0 {
-			st.kcs = append(st.kcs[:0], scan.KeysCursor[uint64]{})
-			st.kcs[0].Reset(p, nil)
-			it.Add(&st.kcs[0]) // the delta is the newest layer: it wins ties
-		}
-		for i := 0; i < sn.NumSegments(); i++ {
-			if c := sn.SegmentCursor(i, lo, hi); c != nil {
-				it.Add(c)
+	st := getScanState(d)
+	if m == nil {
+		d.scan(s.eng, st, it, lo, hi, bounded)
+	} else {
+		// Delta first (the newest layer wins merge ties), then every shard
+		// whose snapshot overlaps the range.
+		st.capture(m, lo, hi, bounded)
+		st.addKeys(st.delta, nil)
+		for _, sn := range st.snaps {
+			if sn.overlaps(lo, hi, bounded) {
+				st.addKeys(sn.keys, sn.idx)
 			}
 		}
+		st.addCursors(it)
+	}
+	if bounded {
 		it.Start(lo, hi, st)
-		if obs.Enabled {
-			s.m.scanOpen.ObserveDuration(time.Since(start))
-		}
-		return it
+	} else {
+		it.StartFrom(lo, st)
 	}
-	st.captureInMemory(s, lo, hi)
-	// Fill the concrete cursor array completely before taking pointers:
-	// delta first (newest layer wins merge ties), then every shard whose
-	// snapshot overlaps the range — shards are range-disjoint, so the fence
-	// check prunes all but the covering ones.
-	st.kcs = st.kcs[:0]
-	if len(st.delta) > 0 {
-		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
-		st.kcs[len(st.kcs)-1].Reset(st.delta, nil)
-	}
-	for _, sn := range st.snaps {
-		ks := sn.keys
-		if len(ks) == 0 || ks[0] >= hi || ks[len(ks)-1] < lo {
-			continue
-		}
-		st.kcs = append(st.kcs, scan.KeysCursor[uint64]{})
-		st.kcs[len(st.kcs)-1].Reset(ks, sn.plan)
-	}
-	for i := range st.kcs {
-		it.Add(&st.kcs[i])
-	}
-	it.Start(lo, hi, st)
 	if obs.Enabled {
 		s.m.scanOpen.ObserveDuration(time.Since(start))
 	}
@@ -178,10 +225,21 @@ func (s *Store) Scan(lo, hi uint64) *scan.Iterator[uint64] {
 }
 
 // ScanBatch appends every key in [lo, hi) — same view as Scan — to dst and
-// returns it, growing dst as needed. The drain runs through the iterator's
-// batched fill, so the per-key cost is the amortized tournament pop.
+// returns it, growing dst as needed.
 func (s *Store) ScanBatch(lo, hi uint64, dst []uint64) []uint64 {
-	it := s.Scan(lo, hi)
+	return drainScan(s.Scan(lo, hi), dst)
+}
+
+// ScanBatchString appends every string key in [lo, hi) — same view as
+// ScanString — to dst and returns it.
+func (s *Store) ScanBatchString(lo, hi string, dst []string) []string {
+	return drainScan(s.ScanString(lo, hi), dst)
+}
+
+// drainScan appends everything it streams to dst and closes it. The drain
+// runs through the iterator's batched fill, so the per-key cost is the
+// amortized tournament pop.
+func drainScan[K keyType](it *scan.Iterator[K], dst []K) []K {
 	defer it.Close()
 	for {
 		if len(dst) == cap(dst) {
@@ -207,28 +265,41 @@ func (s *Store) ScanBatch(lo, hi uint64, dst []uint64) []uint64 {
 // membership probes scaling with the in-range delta alone — independent of
 // the range width: counting a billion-key range is two model inferences
 // per layer plus the delta correction.
-func (s *Store) CountRange(lo, hi uint64) int {
-	if s.strKeys {
-		panic("serve: uint64 scan on a string-keyed store")
-	}
-	if hi <= lo {
+func (s *Store) CountRange(lo, hi uint64) int { return countRange(s, uint64Keys, lo, hi, true) }
+
+// CountRangeString returns the exact number of distinct string keys in
+// [lo, hi) over the same view a ScanString at this instant would stream —
+// by codec-index position arithmetic plus the delta correction, without
+// iterating.
+func (s *Store) CountRangeString(lo, hi string) int { return countRange(s, stringKeys, lo, hi, true) }
+
+// CountFromString is CountRangeString without an upper bound: the number
+// of distinct committed string keys >= lo.
+func (s *Store) CountFromString(lo string) int { return countRange(s, stringKeys, lo, "", false) }
+
+func countRange[K keyType](s *Store, d *domain[K], lo, hi K, bounded bool) int {
+	m := keyed(s, d, "scan")
+	if bounded && hi <= lo {
 		return 0
 	}
-	if s.eng != nil {
-		return s.eng.CountRange(lo, hi)
+	if m == nil {
+		return d.count(s.eng, lo, hi, bounded)
 	}
-	st := scanStatePool.Get().(*scanState)
-	st.captureInMemory(s, lo, hi)
+	st := getScanState(d)
+	st.capture(m, lo, hi, bounded)
 	total := 0
 	for _, sn := range st.snaps {
-		if ks := sn.keys; len(ks) == 0 || ks[0] >= hi || ks[len(ks)-1] < lo {
+		if !sn.overlaps(lo, hi, bounded) {
 			continue
 		}
-		a, b := sn.plan.RangeScan(lo, hi)
-		total += b - a
+		end := len(sn.keys)
+		if bounded {
+			end = sn.idx.Lookup(hi)
+		}
+		total += end - sn.idx.Lookup(lo)
 	}
-	for _, k := range st.delta { // already restricted to [lo, hi)
-		if !st.snaps[s.shardFor(k)].plan.Contains(k) {
+	for _, k := range st.delta { // already restricted to the range
+		if !st.snaps[m.shardFor(k)].idx.Contains(k) {
 			total++
 		}
 	}

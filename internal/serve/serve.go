@@ -9,10 +9,10 @@
 // Keys are range-partitioned across N shards with boundaries picked from
 // the initial sorted key space, so every shard serves a contiguous key
 // range and a sorted probe batch decomposes into contiguous per-shard runs.
-// Each shard holds an immutable snapshot — its sorted key array, the RMI
-// trained over it, and the RMI's compiled inference plan (core.Plan),
-// which every read on the snapshot executes — behind an atomic.Pointer. Readers load the pointer
-// and never take a lock. Inserts append to a small per-shard buffer under a
+// Each shard holds an immutable snapshot — its sorted key array and the
+// compiled inference plan (core.Plan) of the RMI trained over it, which
+// every read on the snapshot executes — behind an atomic.Pointer. Readers
+// load the pointer and never take a lock. Inserts append to a small per-shard buffer under a
 // mutex; when the buffer passes the merge threshold, the background merger
 // dispatches a drain: sort, dedup against the snapshot, merge into a fresh
 // key array, retrain the RMI off the hot path, and atomically publish the
@@ -64,6 +64,28 @@
 // durable keys: all flushed segments plus the intact WAL tail. I/O errors
 // are sticky in the engine and surface on Sync, Flush-following-Sync, and
 // Close.
+//
+// # Key modes
+//
+// A Store is uint64-keyed (New/Open) or string-keyed (NewString/OpenString),
+// fixed at construction; calling a method of the other mode panics,
+// mirroring the storage engine's mode discipline. A string store is the
+// same range-sharded RCU architecture generalized over the
+// order-preserving key codec (internal/keycodec). Each shard's snapshot
+// holds its sorted string keys behind a core.StringIndex — the prefix RMI
+// plus suffix dictionary, with the StringRMI tie-break model trained only
+// when the prefix space is collision-heavy — and shard boundaries are split
+// *strings* picked from the initial key space, so routing stays a binary
+// search over the bounds in key order (Prefix is order-preserving, so
+// prefix order and string order agree wherever routing needs them to).
+//
+// The consistency model, drain machinery, and scan capture discipline are
+// shared: each operation is one generic body over the key type, and only
+// the trainer and the engine calls differ (see domain). Strings have no
+// +∞, so the unbounded-above scan and count are distinct entry points
+// (ScanStringFrom, CountFromString) instead of a sentinel upper bound. A
+// persistent string store rides the storage engine's string mode: string
+// WAL frames, version-2 segment files, and codec-index reads.
 package serve
 
 import (
@@ -79,7 +101,6 @@ import (
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
 	"learnedindex/internal/search"
-	"learnedindex/internal/slicepool"
 	"learnedindex/internal/storage"
 	"learnedindex/internal/vfs"
 )
@@ -128,34 +149,9 @@ type Options struct {
 	BackpressureDebt int
 }
 
-// snapshot is one shard's immutable published state. Nothing in it is ever
-// mutated after publication; replacement is by pointer swap. plan is the
-// RMI's compiled read path, captured at swap-in so every read on the
-// snapshot executes the devirtualized flat plan instead of interpreting
-// the model tree.
-type snapshot struct {
-	keys []uint64
-	rmi  *core.RMI
-	plan *core.Plan
-}
-
-// newSnapshot publishes keys behind a freshly trained RMI plus its
-// compiled plan. workers is the training worker budget (0 lets the
-// trainer pick): drains pass their share of the machine so concurrent
-// shard retrains compose to ~GOMAXPROCS total workers instead of
-// multiplying into it.
-func newSnapshot(keys []uint64, cfg core.Config, workers int) *snapshot {
-	var rmi *core.RMI
-	if workers > 0 {
-		rmi = core.NewWithTrainWorkers(keys, cfg, workers)
-	} else {
-		rmi = core.New(keys, cfg)
-	}
-	return &snapshot{keys: keys, rmi: rmi, plan: rmi.Plan()}
-}
-
-type shard struct {
-	snap atomic.Pointer[snapshot]
+// shard is one range partition's RCU state.
+type shard[K keyType] struct {
+	snap atomic.Pointer[snapshot[K]]
 	// mergeMu serializes drains so at most one retrain per shard runs at a
 	// time (background merger and Flush may race to drain the same shard).
 	// Different shards' drains run concurrently, bounded only by the
@@ -166,29 +162,51 @@ type shard struct {
 	merging atomic.Bool
 	// mu protects buf, the unordered insert buffer, and draining.
 	mu  sync.Mutex
-	buf []uint64
+	buf []K
 	// draining holds the buffer a drain has taken but not yet published:
 	// from the moment the drain detaches buf until the merged snapshot is
 	// swapped in, the keys live here and nowhere readers can see — except
 	// scans, which capture buf+draining before loading the snapshot, so a
 	// key migrating through a drain is visible at every instant. The drain
 	// never mutates the draining slice (it sorts a copy).
-	draining []uint64
+	draining []K
+}
+
+// shards is an in-memory store's shard set in its key type: the split
+// keys, the shards, and the domain whose trainer and buffer pool drains
+// use. Key-typed paths reach it through keyed; the paths that never touch
+// a key reach it through shardSet.
+type shards[K keyType] struct {
+	s      *Store
+	d      *domain[K]
+	bounds []K // len(sh)-1 split keys; shard i serves [bounds[i-1], bounds[i])
+	sh     []*shard[K]
+}
+
+// shardSet is the key-independent face of the in-memory shard set: what
+// Flush, Len, Pending, NumShards, the merger, and the metrics collector
+// need.
+type shardSet interface {
+	dispatchDrain(i int)
+	sweep()
+	flush()
+	len() int
+	pending() int
+	numShards() int
+	// shardState reports shard i's queued keys (buffered + draining) and
+	// its live compiled plan.
+	shardState(i int) (queued int, plan *core.Plan)
 }
 
 // Store is the sharded serving layer. Create with New (or Open for a
 // persistent store), release with Close.
 type Store struct {
-	bounds []uint64 // len(shards)-1 split keys; shard i serves [bounds[i-1], bounds[i])
-	shards []*shard
-	// String mode (NewString/OpenString): the codec twin of the fields
-	// above. strKeys fixes the store's key mode at construction — exactly
-	// one of shards/shardsS is populated, and calling a uint64 method on a
-	// string store (or vice versa) panics, mirroring the storage engine's
-	// mode discipline.
+	// strKeys fixes the store's key mode at construction; keyed enforces
+	// it on every key-typed call.
 	strKeys bool
-	boundsS []string
-	shardsS []*strShard
+	// mem is the in-memory shard set (*shards[uint64] or *shards[string]);
+	// nil on a persistent store, whose eng replaces it.
+	mem     shardSet
 	cfg     core.Config
 	thresh  int
 	mergeCh chan int
@@ -209,8 +227,7 @@ type Store struct {
 	// drainWG tracks in-flight background shard drains so Close's shutdown
 	// barrier covers them.
 	drainWG sync.WaitGroup
-	// eng, when non-nil, is the disk engine of a persistent Store; the
-	// in-memory shard fields above are unused in that mode.
+	// eng, when non-nil, is the disk engine of a persistent Store.
 	eng *storage.Engine
 	// repl holds the store's replication attachments: the shipper started
 	// by ServeReplication and/or the follower installed by OpenFollower
@@ -296,18 +313,21 @@ func (s *Store) initObs(reg *obs.Registry, nsh int, addr string) error {
 func (s *Store) collect(snap *obs.Snapshot) {
 	snap.SetGauge("lix_serve_retrains_inflight", float64(len(s.retrainSem)))
 	snap.SetGauge("lix_serve_shards", float64(s.NumShards()))
-	if s.eng != nil {
+	if s.mem == nil {
 		return // queue depth is the engine's lix_storage_pending_keys
 	}
 	pending := 0
 	var allErr, allLen obs.HistSnapshot
 	maxBound := 0
-	health := func(i int, p *core.Plan) {
+	for i := 0; i < s.mem.numShards(); i++ {
+		d, p := s.mem.shardState(i)
+		sh := strconv.Itoa(i)
+		snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", sh), float64(d))
+		pending += d
 		if p == nil {
-			return
+			continue
 		}
 		errH, lenH := p.ObsModelErr(), p.ObsSearchLen()
-		sh := strconv.Itoa(i)
 		snap.AddHistogram(obs.L("lix_serve_model_err", "shard", sh), errH)
 		snap.AddHistogram(obs.L("lix_serve_search_window", "shard", sh), lenH)
 		snap.SetGauge(obs.L("lix_serve_trained_err_bound", "shard", sh), float64(p.TrainedErrBound()))
@@ -315,27 +335,6 @@ func (s *Store) collect(snap *obs.Snapshot) {
 		allLen.Merge(lenH)
 		if b := p.TrainedErrBound(); b > maxBound {
 			maxBound = b
-		}
-	}
-	if s.strKeys {
-		for i, sh := range s.shardsS {
-			sh.mu.Lock()
-			d := len(sh.buf) + len(sh.draining)
-			sh.mu.Unlock()
-			snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", strconv.Itoa(i)), float64(d))
-			pending += d
-			if sn := sh.snap.Load(); sn.idx != nil {
-				health(i, sn.idx.Plan())
-			}
-		}
-	} else {
-		for i, sh := range s.shards {
-			sh.mu.Lock()
-			d := len(sh.buf) + len(sh.draining)
-			sh.mu.Unlock()
-			snap.SetGauge(obs.L("lix_serve_queue_depth", "shard", strconv.Itoa(i)), float64(d))
-			pending += d
-			health(i, sh.snap.Load().plan)
 		}
 	}
 	snap.SetGauge("lix_serve_queued_keys", float64(pending))
@@ -350,10 +349,18 @@ func (s *Store) collect(snap *obs.Snapshot) {
 // its own key count — a fixed leaf count is shared by all shards and all
 // retrains, which is rarely what a growing shard wants. With opt.Dir set
 // New panics on an engine error; call Open to handle it instead.
-func New(keys []uint64, cfg core.Config, opt Options) *Store {
-	s, err := Open(keys, cfg, opt)
+func New(keys []uint64, cfg core.Config, opt Options) *Store { return mustOpen(Open(keys, cfg, opt)) }
+
+// NewString builds a string-keyed Store over the initial keys (any order;
+// duplicates dropped), the codec twin of New. Panics on an engine error
+// when opt.Dir is set; use OpenString to handle it.
+func NewString(keys []string, cfg core.Config, opt Options) *Store {
+	return mustOpen(OpenString(keys, cfg, opt))
+}
+
+func mustOpen(s *Store, err error) *Store {
 	if err != nil {
-		panic(fmt.Sprintf("serve.New: %v (use serve.Open to handle storage errors)", err))
+		panic(fmt.Sprintf("serve: %v (use serve.Open or serve.OpenString to handle storage errors)", err))
 	}
 	return s
 }
@@ -364,22 +371,66 @@ func New(keys []uint64, cfg core.Config, opt Options) *Store {
 // segment models, persists the provided initial keys (idempotently — keys
 // already on disk are deduplicated), and starts the background flusher.
 func Open(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
-	if opt.Dir != "" {
-		return openPersistent(keys, cfg, opt)
-	}
-	return newInMemory(keys, cfg, opt)
+	return open(uint64Keys, keys, cfg, opt)
 }
 
-func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
-	thresh := opt.MergeThreshold
-	if thresh <= 0 {
-		thresh = 4096
+// OpenString builds a string-keyed Store like NewString, returning engine
+// errors instead of panicking. With opt.Dir set it opens (or recovers) the
+// persistent engine in string mode — v2 segment files, string WAL — and
+// re-serves everything durable from the deserialized codec indexes.
+func OpenString(keys []string, cfg core.Config, opt Options) (*Store, error) {
+	return open(stringKeys, keys, cfg, opt)
+}
+
+func open[K keyType](d *domain[K], keys []K, cfg core.Config, opt Options) (*Store, error) {
+	if opt.MergeThreshold <= 0 {
+		opt.MergeThreshold = 4096
 	}
+	if opt.Dir == "" {
+		return newInMemory(d, keys, cfg, opt)
+	}
+	s, err := openEngine(cfg, opt, d.str)
+	if err != nil {
+		return nil, err
+	}
+	if len(keys) > 0 {
+		if err = d.addBatch(s.eng, keys); err == nil {
+			err = s.eng.Flush()
+		}
+		if err != nil {
+			s.abort()
+			return nil, err
+		}
+	}
+	s.wg.Add(1)
+	go s.merger()
+	return s, nil
+}
+
+// newStore returns a Store with its control plumbing made; queue is the
+// merge-signal channel's capacity (one slot per shard).
+func newStore(cfg core.Config, thresh, queue int, strKeys bool) *Store {
+	return &Store{
+		strKeys:    strKeys,
+		cfg:        cfg,
+		thresh:     thresh,
+		mergeCh:    make(chan int, queue),
+		quit:       make(chan struct{}),
+		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
+	}
+}
+
+// openEngine opens the persistent engine rooted at opt.Dir in the given
+// key mode and wraps it in a Store with its metrics plane started. The
+// caller seeds it and starts the merger or the follower, calling abort on
+// failure.
+func openEngine(cfg core.Config, opt Options, strKeys bool) (*Store, error) {
 	reg := obs.NewRegistry()
 	eng, err := storage.Open(opt.Dir, storage.Options{
 		Config:           cfg,
 		BloomFPR:         opt.BloomFPR,
 		CompactFanout:    opt.CompactFanout,
+		StringKeys:       strKeys,
 		Reg:              reg,
 		FS:               opt.FS,
 		ScrubInterval:    opt.ScrubInterval,
@@ -388,33 +439,19 @@ func openPersistent(keys []uint64, cfg core.Config, opt Options) (*Store, error)
 	if err != nil {
 		return nil, err
 	}
-	s := &Store{
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, 1),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-		eng:        eng,
-	}
+	s := newStore(cfg, opt.MergeThreshold, 1, strKeys)
+	s.eng = eng
 	if err := s.initObs(reg, 0, opt.MetricsAddr); err != nil {
 		eng.Close()
 		return nil, err
 	}
-	if len(keys) > 0 {
-		if err := eng.Append(keys...); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
-		if err := eng.Flush(); err != nil {
-			s.closeDebug()
-			eng.Close()
-			return nil, err
-		}
-	}
-	s.wg.Add(1)
-	go s.merger()
 	return s, nil
+}
+
+// abort releases a persistent Store that failed to finish opening.
+func (s *Store) abort() {
+	s.closeDebug()
+	s.eng.Close()
 }
 
 // closeDebug shuts the MetricsAddr listener down, if one was started.
@@ -425,23 +462,19 @@ func (s *Store) closeDebug() {
 	}
 }
 
-func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
+func newInMemory[K keyType](d *domain[K], keys []K, cfg core.Config, opt Options) (*Store, error) {
 	nsh := opt.Shards
 	if nsh <= 0 {
 		nsh = 8
 	}
-	thresh := opt.MergeThreshold
-	if thresh <= 0 {
-		thresh = 4096
-	}
-	sorted := append([]uint64(nil), keys...)
+	sorted := slices.Clone(keys)
 	slices.Sort(sorted)
-	sorted = dedupSorted(sorted)
+	sorted = slices.Compact(sorted)
 
 	// Sanitize the stage-size slice once so concurrent retrains share a
 	// read-only copy (core.New clamps entries < 1 in place).
 	if len(cfg.StageSizes) > 0 {
-		ss := append([]int(nil), cfg.StageSizes...)
+		ss := slices.Clone(cfg.StageSizes)
 		for i := range ss {
 			if ss[i] < 1 {
 				ss[i] = 1
@@ -450,35 +483,30 @@ func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 		cfg.StageSizes = ss
 	}
 
-	s := &Store{
-		cfg:        cfg,
-		thresh:     thresh,
-		mergeCh:    make(chan int, nsh),
-		quit:       make(chan struct{}),
-		retrainSem: make(chan struct{}, maxConcurrentRetrains()),
-	}
+	s := newStore(cfg, opt.MergeThreshold, nsh, d.str)
+	m := &shards[K]{s: s, d: d, sh: make([]*shard[K], nsh)}
 	n := len(sorted)
 	if n > 0 && nsh > 1 {
-		s.bounds = make([]uint64, 0, nsh-1)
+		m.bounds = make([]K, 0, nsh-1)
 		for i := 1; i < nsh; i++ {
-			s.bounds = append(s.bounds, sorted[i*n/nsh])
+			m.bounds = append(m.bounds, sorted[i*n/nsh])
 		}
 	}
-	s.shards = make([]*shard, nsh)
 	lo := 0
-	for i := range s.shards {
+	for i := range m.sh {
 		hi := n
-		if i < len(s.bounds) {
-			hi = search.Binary(sorted, s.bounds[i], lo, n)
+		if i < len(m.bounds) {
+			off, _ := slices.BinarySearch(sorted[lo:], m.bounds[i])
+			hi = lo + off
 		}
-		part := sorted[lo:hi:hi]
-		sh := &shard{}
+		sh := &shard[K]{}
 		// Initial shards train one at a time; the trainer's own worker
 		// pool is the parallelism here.
-		sh.snap.Store(newSnapshot(part, cfg, 0))
-		s.shards[i] = sh
+		sh.snap.Store(d.train(sorted[lo:hi:hi], cfg, 0))
+		m.sh[i] = sh
 		lo = hi
 	}
+	s.mem = m
 	if err := s.initObs(obs.NewRegistry(), nsh, opt.MetricsAddr); err != nil {
 		return nil, err
 	}
@@ -489,8 +517,17 @@ func newInMemory(keys []uint64, cfg core.Config, opt Options) (*Store, error) {
 
 // shardFor routes a key to its range partition: the shard whose
 // [bounds[i-1], bounds[i]) window contains it.
-func (s *Store) shardFor(key uint64) int {
-	return sort.Search(len(s.bounds), func(i int) bool { return key < s.bounds[i] })
+func (m *shards[K]) shardFor(key K) int {
+	return sort.Search(len(m.bounds), func(i int) bool { return key < m.bounds[i] })
+}
+
+// signal wakes the merger for shard i (0 on a persistent store) unless it
+// already has work queued; a later insert re-notifies.
+func (s *Store) signal(i int) {
+	select {
+	case s.mergeCh <- i:
+	default:
+	}
 }
 
 // Insert buffers a key for its shard and wakes the merger once the buffer
@@ -498,40 +535,47 @@ func (s *Store) shardFor(key uint64) int {
 // drain (background merge or Flush). On a persistent Store the key is
 // appended to the WAL first (durable at the next Sync); a write error is
 // sticky in the engine and surfaces on Sync/Flush/Close.
-func (s *Store) Insert(key uint64) {
-	if s.strKeys {
-		panic("serve: uint64 insert on a string-keyed store")
-	}
+func (s *Store) Insert(key uint64) { insert(s, uint64Keys, key) }
+
+// InsertString buffers a string key for its shard, waking the merger past
+// the threshold — Insert in the codec domain, with the same visibility
+// contract (readable at the next drain or Flush; durable on a persistent
+// store at the next Sync).
+func (s *Store) InsertString(key string) { insert(s, stringKeys, key) }
+
+func insert[K keyType](s *Store, d *domain[K], key K) {
+	m := keyed(s, d, "insert")
 	if s.repl.follower != nil {
 		panic("serve: insert on a follower store (writes go to the primary)")
 	}
 	s.m.inserts.Inc()
-	if s.eng != nil {
-		if s.eng.Append(key) != nil {
-			return // sticky; reported by Sync/Close
-		}
-		if s.eng.PendingLen() >= s.thresh {
-			select {
-			case s.mergeCh <- 0:
-			default:
-			}
-		}
-		return
+	if m != nil {
+		m.insert(key)
+	} else if d.add(s.eng, key) == nil { // an error is sticky; reported by Sync/Close
+		s.wakeFlusher()
 	}
-	i := s.shardFor(key)
-	sh := s.shards[i]
+}
+
+func (m *shards[K]) insert(key K) {
+	i := m.shardFor(key)
+	sh := m.sh[i]
 	sh.mu.Lock()
 	if sh.buf == nil {
-		sh.buf = getShardBuf()
+		sh.buf = m.d.bufs.Get()
 	}
 	sh.buf = append(sh.buf, key)
-	full := len(sh.buf) >= s.thresh
+	full := len(sh.buf) >= m.s.thresh
 	sh.mu.Unlock()
 	if full {
-		select {
-		case s.mergeCh <- i:
-		default: // merger already has work queued; a later insert re-notifies
-		}
+		m.s.signal(i)
+	}
+}
+
+// wakeFlusher wakes the merger once a persistent store's pending keys pass
+// the threshold.
+func (s *Store) wakeFlusher() {
+	if s.eng.PendingLen() >= s.thresh {
+		s.signal(0)
 	}
 }
 
@@ -542,46 +586,48 @@ func (s *Store) Insert(key uint64) {
 // caller paying its own disk flush. Like Insert, the keys become readable
 // at the next drain or Flush. On an in-memory Store there is no
 // durability to wait for; the keys are simply inserted.
-func (s *Store) InsertDurable(keys ...uint64) error {
-	if s.strKeys {
-		panic("serve: uint64 insert on a string-keyed store")
-	}
+func (s *Store) InsertDurable(keys ...uint64) error { return insertDurable(s, uint64Keys, keys) }
+
+// InsertDurableString inserts string keys and returns once they are
+// crash-durable, riding the engine's group-commit plane like
+// InsertDurable. On an in-memory store the keys are simply inserted.
+func (s *Store) InsertDurableString(keys ...string) error {
+	return insertDurable(s, stringKeys, keys)
+}
+
+func insertDurable[K keyType](s *Store, d *domain[K], keys []K) error {
+	m := keyed(s, d, "insert")
 	if s.repl.follower != nil {
 		return ErrFollowerStore
 	}
-	if s.eng == nil {
+	s.m.inserts.Add(int64(len(keys)))
+	if m != nil {
 		for _, k := range keys {
-			s.Insert(k)
+			m.insert(k)
 		}
 		return nil
 	}
-	s.m.inserts.Add(int64(len(keys)))
 	var start time.Time
 	if obs.Enabled {
 		start = time.Now()
 	}
-	if err := s.eng.CommitBatch(keys); err != nil {
+	if err := d.commit(s.eng, keys); err != nil {
 		return err
 	}
 	if obs.Enabled {
 		s.m.insertNs.ObserveDuration(time.Since(start))
 	}
-	if s.eng.PendingLen() >= s.thresh {
-		select {
-		case s.mergeCh <- 0:
-		default:
-		}
-	}
+	s.wakeFlusher()
 	return nil
 }
 
-// shardBufPool recycles drained insert buffers: a drain hands its buffer
-// back after the merge copies the survivors out, so sustained ingest
-// stops re-growing a fresh buffer per merge cycle.
-var shardBufPool slicepool.Pool[uint64]
-
-func getShardBuf() []uint64  { return shardBufPool.Get() }
-func putShardBuf(b []uint64) { shardBufPool.Put(b) }
+// putBuf recycles a drained insert buffer, zeroed so a pooled buffer never
+// pins drained key bytes: sustained ingest stops re-growing a fresh buffer
+// per merge cycle.
+func (m *shards[K]) putBuf(b []K) {
+	clear(b)
+	m.d.bufs.Put(b)
+}
 
 // maxConcurrentRetrains bounds simultaneous shard retrains per Store.
 // Oversubscription is prevented by the per-retrain worker budget
@@ -599,21 +645,9 @@ func maxConcurrentRetrains() int {
 // semaphore capacity, whichever is smaller), floored at 1. An 8-shard
 // store on 16 cores trains 8 concurrent drains x 2 workers; a 2-shard
 // store 2 x 8 — full utilization either way, never a multiplied stack.
-func (s *Store) retrainWorkers() int {
-	p := runtime.GOMAXPROCS(0)
-	nsh := len(s.shards)
-	if s.strKeys {
-		nsh = len(s.shardsS)
-	}
-	slots := min(nsh, cap(s.retrainSem))
-	if slots < 1 {
-		slots = 1
-	}
-	w := p / slots
-	if w < 1 {
-		w = 1
-	}
-	return w
+func (m *shards[K]) retrainWorkers() int {
+	slots := max(min(len(m.sh), cap(m.s.retrainSem)), 1)
+	return max(runtime.GOMAXPROCS(0)/slots, 1)
 }
 
 // merger is the background goroutine: it *dispatches* a concurrent drain
@@ -627,8 +661,15 @@ func (s *Store) merger() {
 	for {
 		select {
 		case i := <-s.mergeCh:
-			s.dispatchDrain(i)
-			s.sweep()
+			if s.mem == nil {
+				s.eng.Flush() // errors are sticky; surfaced by Sync/Close
+				if s.eng.PendingLen() >= s.thresh {
+					s.eng.Flush()
+				}
+				continue
+			}
+			s.mem.dispatchDrain(i)
+			s.mem.sweep()
 		case <-s.quit:
 			s.drainWG.Wait()
 			s.Flush()
@@ -641,34 +682,28 @@ func (s *Store) merger() {
 // already in flight for it. After the drain, a buffer that refilled past
 // the threshold re-signals the merger, preserving bounded staleness for
 // hot shards.
-func (s *Store) dispatchDrain(i int) {
-	if s.eng != nil {
-		s.drain(0)
-		return
-	}
-	if s.strKeys {
-		s.dispatchDrainStr(i)
-		return
-	}
-	sh := s.shards[i]
+func (m *shards[K]) dispatchDrain(i int) {
+	sh := m.sh[i]
 	if !sh.merging.CompareAndSwap(false, true) {
 		return // this shard's drain is already queued or running
 	}
-	s.drainWG.Add(1)
+	m.s.drainWG.Add(1)
 	go func() {
-		defer s.drainWG.Done()
-		s.drain(i)
+		defer m.s.drainWG.Done()
+		m.drain(i)
 		sh.merging.Store(false)
-		sh.mu.Lock()
-		over := len(sh.buf) >= s.thresh
-		sh.mu.Unlock()
-		if over {
-			select {
-			case s.mergeCh <- i:
-			default:
-			}
+		if m.over(i) {
+			m.s.signal(i)
 		}
 	}()
+}
+
+// over reports whether shard i's buffer is at or past the threshold.
+func (m *shards[K]) over(i int) bool {
+	sh := m.sh[i]
+	sh.mu.Lock()
+	defer sh.mu.Unlock()
+	return len(sh.buf) >= m.s.thresh
 }
 
 // sweep dispatches a drain for every shard whose buffer crossed the
@@ -676,30 +711,10 @@ func (s *Store) dispatchDrain(i int) {
 // its own index, so a cold shard's single notification may have been
 // dropped. The post-signal sweep restores the bounded-staleness promise
 // for those shards.
-func (s *Store) sweep() {
-	if s.eng != nil {
-		if s.eng.PendingLen() >= s.thresh {
-			s.drain(0)
-		}
-		return
-	}
-	if s.strKeys {
-		for i, sh := range s.shardsS {
-			sh.mu.Lock()
-			over := len(sh.buf) >= s.thresh
-			sh.mu.Unlock()
-			if over {
-				s.dispatchDrainStr(i)
-			}
-		}
-		return
-	}
-	for i, sh := range s.shards {
-		sh.mu.Lock()
-		over := len(sh.buf) >= s.thresh
-		sh.mu.Unlock()
-		if over {
-			s.dispatchDrain(i)
+func (m *shards[K]) sweep() {
+	for i := range m.sh {
+		if m.over(i) {
+			m.dispatchDrain(i)
 		}
 	}
 }
@@ -708,12 +723,8 @@ func (s *Store) sweep() {
 // Readers are never blocked: the retrain happens on a private copy and the
 // swap is a single atomic store. Same-shard drains serialize on mergeMu;
 // different shards proceed concurrently up to the retrain semaphore.
-func (s *Store) drain(i int) {
-	if s.eng != nil {
-		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
-		return
-	}
-	sh := s.shards[i]
+func (m *shards[K]) drain(i int) {
+	s, sh := m.s, m.sh[i]
 	sh.mergeMu.Lock()
 	defer sh.mergeMu.Unlock()
 	sh.mu.Lock()
@@ -729,12 +740,12 @@ func (s *Store) drain(i int) {
 	// release clears the scan-visible draining reference and only then
 	// recycles the buffers — a pooled buffer must never be re-appended to
 	// while a scan capture could still be copying it.
-	release := func(work []uint64) {
+	release := func(work []K) {
 		sh.mu.Lock()
 		sh.draining = nil
 		sh.mu.Unlock()
-		putShardBuf(buf)
-		putShardBuf(work)
+		m.putBuf(buf)
+		m.putBuf(work)
 	}
 	s.retrainSem <- struct{}{}
 	defer func() { <-s.retrainSem }()
@@ -743,9 +754,9 @@ func (s *Store) drain(i int) {
 		drainStart = time.Now()
 	}
 	// Sort a copy: buf is concurrently readable as sh.draining.
-	work := append(getShardBuf(), buf...)
+	work := append(m.d.bufs.Get(), buf...)
 	slices.Sort(work)
-	deduped := dedupSorted(work)
+	deduped := slices.Compact(work)
 	cur := sh.snap.Load()
 	merged := mergeDedup(cur.keys, deduped)
 	if len(merged) == len(cur.keys) {
@@ -758,7 +769,7 @@ func (s *Store) drain(i int) {
 	if obs.Enabled {
 		trainStart = time.Now()
 	}
-	snap := newSnapshot(merged, s.cfg, s.retrainWorkers())
+	snap := m.d.train(merged, s.cfg, m.retrainWorkers())
 	if obs.Enabled {
 		s.m.trainNs[i].ObserveDuration(time.Since(trainStart))
 	}
@@ -775,27 +786,20 @@ func (s *Store) drain(i int) {
 // Inserts readable. On a persistent Store it also makes them durable
 // (segment files are fsynced before the WAL is trimmed).
 func (s *Store) Flush() {
-	if s.eng != nil {
-		s.drain(0)
+	if s.mem == nil {
+		s.eng.Flush() // errors are sticky; surfaced by Sync/Close
 		return
 	}
+	s.mem.flush()
+}
+
+func (m *shards[K]) flush() {
 	var wg sync.WaitGroup
-	if s.strKeys {
-		for i := range s.shardsS {
-			wg.Add(1)
-			go func(i int) {
-				defer wg.Done()
-				s.drainStr(i)
-			}(i)
-		}
-		wg.Wait()
-		return
-	}
-	for i := range s.shards {
+	for i := range m.sh {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			s.drain(i)
+			m.drain(i)
 		}(i)
 	}
 	wg.Wait()
@@ -840,13 +844,6 @@ func (s *Store) Close() error {
 	return nil
 }
 
-// view is a point-in-time capture of every shard's published snapshot plus
-// the global position offset of each shard's first key.
-type view struct {
-	snaps []*snapshot
-	offs  []int
-}
-
 // Lookup returns the global lower-bound position of key over the committed
 // view: the index of the first committed key >= key. Allocation-free: it
 // captures only the snapshots it reads (one atomic load per shard). On a
@@ -857,60 +854,72 @@ type view struct {
 // multiply (obs.SampleKey), a 1-in-64 sampled call additionally times
 // itself into lix_serve_lookup_ns and bumps lix_serve_lookups_total by 64
 // — the counter is a sampled estimate, not an exact call count.
-func (s *Store) Lookup(key uint64) int {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
-	if obs.SampleKey(key) {
+func (s *Store) Lookup(key uint64) int { return lookup(s, uint64Keys, key, obs.SampleKey(key)) }
+
+// LookupString returns the global lower-bound position of key over the
+// committed view in codec (byte) order: the index of the first committed
+// key >= key. Metrics are 1-in-64 sampled like Lookup, but through the
+// store's shared Sampler — a string key has no cheap hash to slice — so
+// an unsampled call pays one sharded atomic add.
+func (s *Store) LookupString(key string) int {
+	return lookup(s, stringKeys, key, s.m.sampler.Tick())
+}
+
+// lookup is the body of Lookup and LookupString; sampled is the caller's
+// 1-in-64 metrics admission decision.
+func lookup[K keyType](s *Store, d *domain[K], key K, sampled bool) int {
+	m := keyed(s, d, "read")
+	if sampled {
 		s.m.lookups.Add(64)
 		if obs.Enabled {
 			start := time.Now()
-			pos := s.lookupPos(key)
+			pos := lookupPos(s, d, m, key)
 			s.m.lookupNs.ObserveDuration(time.Since(start))
 			return pos
 		}
 	}
-	return s.lookupPos(key)
+	return lookupPos(s, d, m, key)
 }
 
-func (s *Store) lookupPos(key uint64) int {
-	if s.eng != nil {
-		return s.eng.Lookup(key)
+func lookupPos[K keyType](s *Store, d *domain[K], m *shards[K], key K) int {
+	if m == nil {
+		return d.lookup(s.eng, key)
 	}
-	i := s.shardFor(key)
+	i := m.shardFor(key)
 	total := 0
 	for j := 0; j < i; j++ {
-		total += len(s.shards[j].snap.Load().keys)
+		total += len(m.sh[j].snap.Load().keys)
 	}
-	return total + s.shards[i].snap.Load().plan.Lookup(key)
+	return total + m.sh[i].snap.Load().idx.Lookup(key)
 }
 
 // Contains reports whether key is committed. On a persistent Store each
 // segment's Bloom filter is consulted before its key block is searched,
 // so misses rarely touch a model.
-func (s *Store) Contains(key uint64) bool {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
+func (s *Store) Contains(key uint64) bool { return contains(s, uint64Keys, key) }
+
+// ContainsString reports whether a string key is committed.
+func (s *Store) ContainsString(key string) bool { return contains(s, stringKeys, key) }
+
+func contains[K keyType](s *Store, d *domain[K], key K) bool {
+	m := keyed(s, d, "read")
+	if m == nil {
+		return d.contains(s.eng, key)
 	}
-	if s.eng != nil {
-		return s.eng.Contains(key)
-	}
-	return s.shards[s.shardFor(key)].snap.Load().plan.Contains(key)
+	return m.sh[m.shardFor(key)].snap.Load().idx.Contains(key)
 }
 
 // Len returns the number of distinct committed keys.
 func (s *Store) Len() int {
-	if s.eng != nil {
+	if s.mem == nil {
 		return s.eng.Len()
 	}
+	return s.mem.len()
+}
+
+func (m *shards[K]) len() int {
 	total := 0
-	if s.strKeys {
-		for _, sh := range s.shardsS {
-			total += len(sh.snap.Load().keys)
-		}
-		return total
-	}
-	for _, sh := range s.shards {
+	for _, sh := range m.sh {
 		total += len(sh.snap.Load().keys)
 	}
 	return total
@@ -919,24 +928,30 @@ func (s *Store) Len() int {
 // Pending returns the number of buffered (not yet visible) inserts,
 // counting duplicates that a drain would absorb.
 func (s *Store) Pending() int {
-	if s.eng != nil {
+	if s.mem == nil {
 		return s.eng.PendingLen()
 	}
+	return s.mem.pending()
+}
+
+func (m *shards[K]) pending() int {
 	total := 0
-	if s.strKeys {
-		for _, sh := range s.shardsS {
-			sh.mu.Lock()
-			total += len(sh.buf)
-			sh.mu.Unlock()
-		}
-		return total
-	}
-	for _, sh := range s.shards {
+	for _, sh := range m.sh {
 		sh.mu.Lock()
 		total += len(sh.buf)
 		sh.mu.Unlock()
 	}
 	return total
+}
+
+func (m *shards[K]) numShards() int { return len(m.sh) }
+
+func (m *shards[K]) shardState(i int) (int, *core.Plan) {
+	sh := m.sh[i]
+	sh.mu.Lock()
+	d := len(sh.buf) + len(sh.draining)
+	sh.mu.Unlock()
+	return d, sh.snap.Load().plan
 }
 
 // Merges returns how many snapshot publications have happened (segment
@@ -951,13 +966,10 @@ func (s *Store) Merges() int {
 // NumShards returns the partition count (1 on a persistent Store, whose
 // sharding is the segment list).
 func (s *Store) NumShards() int {
-	if s.eng != nil {
+	if s.mem == nil {
 		return 1
 	}
-	if s.strKeys {
-		return len(s.shardsS)
-	}
-	return len(s.shards)
+	return s.mem.numShards()
 }
 
 // StorageStats returns the disk engine's statistics and true when the
@@ -1034,9 +1046,7 @@ func (s *Store) DebugAddr() string {
 // search range before any key is touched, and the group keeps its search
 // misses overlapped.
 func (s *Store) LookupBatch(probes []uint64) []int {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
+	m := keyed(s, uint64Keys, "read")
 	// Per-batch metrics: two sharded atomic adds (batch count + sampler
 	// tick) plus one histogram add — amortized over the whole batch, which
 	// is what keeps the instrumented build within the <3% overhead gate.
@@ -1045,35 +1055,30 @@ func (s *Store) LookupBatch(probes []uint64) []int {
 	s.m.batchLen.Observe(uint64(len(probes)))
 	if obs.Enabled && s.m.sampler.Tick() {
 		start := time.Now()
-		out := s.lookupBatch(probes)
+		out := s.lookupBatch(m, probes)
 		s.m.batchNs.ObserveDuration(time.Since(start))
 		return out
 	}
-	return s.lookupBatch(probes)
+	return s.lookupBatch(m, probes)
 }
 
-func (s *Store) lookupBatch(probes []uint64) []int {
+func (s *Store) lookupBatch(m *shards[uint64], probes []uint64) []int {
 	out := make([]int, len(probes))
 	if len(probes) == 0 {
 		return out
 	}
-	if s.eng != nil {
-		sc := scratchPool.Get().(*batchScratch)
-		skeys, perm := sortProbes(probes, sc)
-		pos := grow(&sc.pos, len(probes))
-		s.eng.LookupBatchSorted(skeys, pos)
-		if perm == nil {
-			copy(out, pos)
-		} else {
-			for j, o := range perm {
-				out[o] = pos[j]
-			}
-		}
-		sc.release()
-		return out
-	}
 	sc := scratchPool.Get().(*batchScratch)
-	_, _, pos, perm := s.batchPositions(probes, sc)
+	defer sc.release()
+	var pos []int
+	var perm []int32
+	if m == nil {
+		var skeys []uint64
+		skeys, perm = sortProbes(probes, sc)
+		pos = grow(&sc.pos, len(probes))
+		s.eng.LookupBatchSorted(skeys, pos)
+	} else {
+		_, _, pos, perm = batchPositions(m, probes, sc)
+	}
 	if perm == nil {
 		copy(out, pos)
 	} else {
@@ -1081,21 +1086,18 @@ func (s *Store) lookupBatch(probes []uint64) []int {
 			out[o] = pos[j]
 		}
 	}
-	sc.release()
 	return out
 }
 
 // ContainsBatch reports membership for every probe, in probe order,
 // against one consistent captured view.
 func (s *Store) ContainsBatch(probes []uint64) []bool {
-	if s.strKeys {
-		panic("serve: uint64 read on a string-keyed store")
-	}
+	m := keyed(s, uint64Keys, "read")
 	out := make([]bool, len(probes))
 	if len(probes) == 0 {
 		return out
 	}
-	if s.eng != nil {
+	if m == nil {
 		// One captured segment list for the whole batch (the consistent
 		// view promised above); per-key membership is already cheap on the
 		// engine — min/max fences and Bloom filters prune almost every
@@ -1104,11 +1106,11 @@ func (s *Store) ContainsBatch(probes []uint64) []bool {
 		return out
 	}
 	sc := scratchPool.Get().(*batchScratch)
-	v, skeys, pos, perm := s.batchPositions(probes, sc)
+	v, skeys, pos, perm := batchPositions(m, probes, sc)
 	defer sc.release()
 	si := 0
 	for j, k := range skeys { // sorted order: the shard index only advances
-		for si < len(s.bounds) && k >= s.bounds[si] {
+		for si < len(m.bounds) && k >= m.bounds[si] {
 			si++
 		}
 		p := pos[j] - v.offs[si]
@@ -1123,20 +1125,28 @@ func (s *Store) ContainsBatch(probes []uint64) []bool {
 	return out
 }
 
+// view is a point-in-time capture of every shard's published snapshot plus
+// the global position offset of each shard's first key.
+type view struct {
+	snaps []*snapshot[uint64]
+	offs  []int
+}
+
 // batchPositions is the shared batch engine: sort the probes once
 // (carrying the original indexes), capture the view, split the sorted
 // probes into per-shard runs, and resolve each run with the amortized
-// batch lookup. skeys and pos are in ascending probe order; perm maps a
-// sorted slot back to its original probe index, and is nil when the input
-// was already ascending (the scan-shaped fast path — then pos is directly
-// in probe order). All working memory comes from sc, so a steady-state
-// batch costs one allocation (the caller's result slice).
-func (s *Store) batchPositions(probes []uint64, sc *batchScratch) (v view, skeys []uint64, pos []int, perm []int32) {
+// batch lookup on the shard's concrete plan. skeys and pos are in
+// ascending probe order; perm maps a sorted slot back to its original
+// probe index, and is nil when the input was already ascending (the
+// scan-shaped fast path — then pos is directly in probe order). All
+// working memory comes from sc, so a steady-state batch costs one
+// allocation (the caller's result slice).
+func batchPositions(m *shards[uint64], probes []uint64, sc *batchScratch) (v view, skeys []uint64, pos []int, perm []int32) {
 	n := len(probes)
 	skeys, perm = sortProbes(probes, sc)
-	v = view{snaps: grow(&sc.snaps, len(s.shards)), offs: grow(&sc.offs, len(s.shards))}
+	v = view{snaps: grow(&sc.snaps, len(m.sh)), offs: grow(&sc.offs, len(m.sh))}
 	total := 0
-	for i, sh := range s.shards {
+	for i, sh := range m.sh {
 		v.snaps[i] = sh.snap.Load()
 		v.offs[i] = total
 		total += len(v.snaps[i].keys)
@@ -1144,10 +1154,10 @@ func (s *Store) batchPositions(probes []uint64, sc *batchScratch) (v view, skeys
 	pos = grow(&sc.pos, n)
 	start := 0
 	for start < n {
-		si := s.shardFor(skeys[start])
+		si := m.shardFor(skeys[start])
 		end := n
-		if si < len(s.bounds) {
-			end = search.Binary(skeys, s.bounds[si], start, n)
+		if si < len(m.bounds) {
+			end = search.Binary(skeys, m.bounds[si], start, n)
 		}
 		v.snaps[si].plan.LookupBatchSorted(skeys[start:end], pos[start:end])
 		for j := start; j < end; j++ {
@@ -1204,7 +1214,7 @@ type batchScratch struct {
 	skeys []uint64
 	perm  []int32
 	pos   []int
-	snaps []*snapshot
+	snaps []*snapshot[uint64]
 	offs  []int
 }
 
@@ -1213,9 +1223,7 @@ var scratchPool = sync.Pool{New: func() any { return new(batchScratch) }}
 // release drops snapshot references (so a pooled scratch never pins
 // superseded shard arrays) and returns the scratch to the pool.
 func (sc *batchScratch) release() {
-	for i := range sc.snaps {
-		sc.snaps[i] = nil
-	}
+	clear(sc.snaps)
 	scratchPool.Put(sc)
 }
 
@@ -1227,24 +1235,10 @@ func grow[T any](buf *[]T, n int) []T {
 	return (*buf)[:n]
 }
 
-// dedupSorted removes adjacent duplicates in place.
-func dedupSorted(ks []uint64) []uint64 {
-	if len(ks) == 0 {
-		return ks
-	}
-	dst := ks[:1]
-	for _, v := range ks[1:] {
-		if v != dst[len(dst)-1] {
-			dst = append(dst, v)
-		}
-	}
-	return dst
-}
-
 // mergeDedup merges sorted base with sorted, deduped extra, skipping extra
 // keys already in base. The result is a fresh array (base stays immutable).
-func mergeDedup(base, extra []uint64) []uint64 {
-	merged := make([]uint64, 0, len(base)+len(extra))
+func mergeDedup[K keyType](base, extra []K) []K {
+	merged := make([]K, 0, len(base)+len(extra))
 	i, j := 0, 0
 	for i < len(base) && j < len(extra) {
 		switch {

@@ -116,34 +116,46 @@ func (c *Client) rpc(req *wmsg, wantKind byte) (*wmsg, error) {
 	return &c.resp, nil
 }
 
+// key is the client's key domain, which must match the served store's.
+type key interface{ uint64 | string }
+
+// begin is the client's one key-mode check: it loads c.req with a request
+// of kind carrying keys and the lo/hi bounds in K's wire fields, or
+// returns errMode when K is not the client's key mode.
+func begin[K key](c *Client, kind byte, keys []K, lo, hi K) error {
+	c.req = wmsg{kind: kind, strMode: c.strMode}
+	switch ks := any(keys).(type) {
+	case []uint64:
+		if c.strMode {
+			return errMode
+		}
+		c.req.keys, c.req.lo, c.req.hi = ks, any(lo).(uint64), any(hi).(uint64)
+	case []string:
+		if !c.strMode {
+			return errMode
+		}
+		c.req.strs, c.req.loS, c.req.hiS = ks, any(lo).(string), any(hi).(string)
+	}
+	return nil
+}
+
 // LookupBatch answers Lookup for every probe in probe order, plus the
 // store's visible length at the same instant (the router turns per-node
 // positions into global ones with it).
 func (c *Client) LookupBatch(probes []uint64) (pos []int, storeLen int, err error) {
-	if c.strMode {
-		return nil, 0, errMode
-	}
-	c.req = wmsg{kind: msgLookupBatch, keys: probes}
-	resp, err := c.rpc(&c.req, msgPositions)
-	if err != nil {
-		return nil, 0, err
-	}
-	if len(resp.keys) != len(probes) {
-		return nil, 0, errWire
-	}
-	pos = make([]int, len(resp.keys))
-	for i, p := range resp.keys {
-		pos[i] = int(p)
-	}
-	return pos, int(resp.storeLen), nil
+	return lookupBatch(c, probes)
 }
 
 // LookupBatchString is LookupBatch for a string-keyed store.
 func (c *Client) LookupBatchString(probes []string) (pos []int, storeLen int, err error) {
-	if !c.strMode {
-		return nil, 0, errMode
+	return lookupBatch(c, probes)
+}
+
+func lookupBatch[K key](c *Client, probes []K) ([]int, int, error) {
+	var z K
+	if err := begin(c, msgLookupBatch, probes, z, z); err != nil {
+		return nil, 0, err
 	}
-	c.req = wmsg{kind: msgLookupBatch, strMode: true, strs: probes}
 	resp, err := c.rpc(&c.req, msgPositions)
 	if err != nil {
 		return nil, 0, err
@@ -151,7 +163,7 @@ func (c *Client) LookupBatchString(probes []string) (pos []int, storeLen int, er
 	if len(resp.keys) != len(probes) {
 		return nil, 0, errWire
 	}
-	pos = make([]int, len(resp.keys))
+	pos := make([]int, len(resp.keys))
 	for i, p := range resp.keys {
 		pos[i] = int(p)
 	}
@@ -159,27 +171,18 @@ func (c *Client) LookupBatchString(probes []string) (pos []int, storeLen int, er
 }
 
 // ContainsBatch answers Contains for every probe in probe order.
-func (c *Client) ContainsBatch(probes []uint64) ([]bool, error) {
-	if c.strMode {
-		return nil, errMode
-	}
-	c.req = wmsg{kind: msgContainsBatch, keys: probes}
-	resp, err := c.rpc(&c.req, msgBools)
-	if err != nil {
-		return nil, err
-	}
-	if len(resp.bools) != len(probes) {
-		return nil, errWire
-	}
-	return resp.bools, nil
-}
+func (c *Client) ContainsBatch(probes []uint64) ([]bool, error) { return containsBatch(c, probes) }
 
 // ContainsBatchString is ContainsBatch for a string-keyed store.
 func (c *Client) ContainsBatchString(probes []string) ([]bool, error) {
-	if !c.strMode {
-		return nil, errMode
+	return containsBatch(c, probes)
+}
+
+func containsBatch[K key](c *Client, probes []K) ([]bool, error) {
+	var z K
+	if err := begin(c, msgContainsBatch, probes, z, z); err != nil {
+		return nil, err
 	}
-	c.req = wmsg{kind: msgContainsBatch, strMode: true, strs: probes}
 	resp, err := c.rpc(&c.req, msgBools)
 	if err != nil {
 		return nil, err
@@ -195,50 +198,46 @@ func (c *Client) ContainsBatchString(probes []string) ([]bool, error) {
 // more keys exist past the page. Resume by calling again with lo set to
 // the successor of the last key.
 func (c *Client) Scan(lo, hi uint64, bounded bool, limit int) (keys []uint64, more bool, err error) {
-	if c.strMode {
-		return nil, false, errMode
-	}
-	c.req = wmsg{kind: msgScan, lo: lo, hi: hi, bounded: bounded, limit: uint64(limit)}
-	resp, err := c.rpc(&c.req, msgKeys)
-	if err != nil {
-		return nil, false, err
-	}
-	return resp.keys, resp.more, nil
+	return scanPage(c, lo, hi, bounded, limit)
 }
 
 // ScanString is Scan for a string-keyed store.
 func (c *Client) ScanString(lo, hi string, bounded bool, limit int) (keys []string, more bool, err error) {
-	if !c.strMode {
-		return nil, false, errMode
+	return scanPage(c, lo, hi, bounded, limit)
+}
+
+func scanPage[K key](c *Client, lo, hi K, bounded bool, limit int) ([]K, bool, error) {
+	if err := begin[K](c, msgScan, nil, lo, hi); err != nil {
+		return nil, false, err
 	}
-	c.req = wmsg{kind: msgScan, strMode: true, loS: lo, hiS: hi, bounded: bounded, limit: uint64(limit)}
+	c.req.bounded, c.req.limit = bounded, uint64(limit)
 	resp, err := c.rpc(&c.req, msgKeys)
 	if err != nil {
 		return nil, false, err
 	}
-	return resp.strs, resp.more, nil
+	var page any = resp.keys
+	if c.strMode {
+		page = resp.strs
+	}
+	return page.([]K), resp.more, nil
 }
 
 // CountRange returns the exact number of keys in [lo, hi) (or [lo, ∞) when
 // bounded is false).
 func (c *Client) CountRange(lo, hi uint64, bounded bool) (int, error) {
-	if c.strMode {
-		return 0, errMode
-	}
-	c.req = wmsg{kind: msgCountRange, lo: lo, hi: hi, bounded: bounded}
-	resp, err := c.rpc(&c.req, msgCount)
-	if err != nil {
-		return 0, err
-	}
-	return int(resp.count), nil
+	return countRange(c, lo, hi, bounded)
 }
 
 // CountRangeString is CountRange for a string-keyed store.
 func (c *Client) CountRangeString(lo, hi string, bounded bool) (int, error) {
-	if !c.strMode {
-		return 0, errMode
+	return countRange(c, lo, hi, bounded)
+}
+
+func countRange[K key](c *Client, lo, hi K, bounded bool) (int, error) {
+	if err := begin[K](c, msgCountRange, nil, lo, hi); err != nil {
+		return 0, err
 	}
-	c.req = wmsg{kind: msgCountRange, strMode: true, loS: lo, hiS: hi, bounded: bounded}
+	c.req.bounded = bounded
 	resp, err := c.rpc(&c.req, msgCount)
 	if err != nil {
 		return 0, err
@@ -249,21 +248,16 @@ func (c *Client) CountRangeString(lo, hi string, bounded bool) (int, error) {
 // Insert durably inserts keys via the store's group-commit write path: when
 // it returns nil the keys are fsync-durable on the server. Duplicate keys
 // are no-ops (set semantics), which is what makes retry-after-timeout safe.
-func (c *Client) Insert(keys []uint64) error {
-	if c.strMode {
-		return errMode
-	}
-	c.req = wmsg{kind: msgInsert, keys: keys}
-	_, err := c.rpc(&c.req, msgOK)
-	return err
-}
+func (c *Client) Insert(keys []uint64) error { return insert(c, keys) }
 
 // InsertString is Insert for a string-keyed store.
-func (c *Client) InsertString(keys []string) error {
-	if !c.strMode {
-		return errMode
+func (c *Client) InsertString(keys []string) error { return insert(c, keys) }
+
+func insert[K key](c *Client, keys []K) error {
+	var z K
+	if err := begin(c, msgInsert, keys, z, z); err != nil {
+		return err
 	}
-	c.req = wmsg{kind: msgInsert, strMode: true, strs: keys}
 	_, err := c.rpc(&c.req, msgOK)
 	return err
 }

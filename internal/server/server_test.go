@@ -208,19 +208,39 @@ func TestServerModeMismatchHandshake(t *testing.T) {
 }
 
 func TestServerModeGuards(t *testing.T) {
-	st := serve.New([]uint64{1}, core.Config{}, serve.Options{Shards: 1})
-	defer st.Close()
-	_, tr := startServer(t, st, Options{})
-	c, err := Dial(tr, "node0", false, ClientOptions{})
-	if err != nil {
-		t.Fatalf("dial: %v", err)
+	dial := func(st *serve.Store, strMode bool) *Client {
+		t.Helper()
+		_, tr := startServer(t, st, Options{})
+		c, err := Dial(tr, "node0", strMode, ClientOptions{})
+		if err != nil {
+			t.Fatalf("dial: %v", err)
+		}
+		t.Cleanup(func() { c.Close() })
+		return c
 	}
-	defer c.Close()
-	if _, _, err := c.LookupBatchString([]string{"a"}); !errors.Is(err, errMode) {
-		t.Fatalf("want errMode, got %v", err)
-	}
-	if err := c.InsertString([]string{"a"}); !errors.Is(err, errMode) {
-		t.Fatalf("want errMode, got %v", err)
+	su := serve.New([]uint64{1}, core.Config{}, serve.Options{Shards: 1})
+	defer su.Close()
+	ss := serve.NewString([]string{"a"}, core.Config{}, serve.Options{Shards: 1})
+	defer ss.Close()
+	cu, cs := dial(su, false), dial(ss, true)
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"LookupBatchString", func() error { _, _, err := cu.LookupBatchString([]string{"a"}); return err }},
+		{"ContainsBatchString", func() error { _, err := cu.ContainsBatchString([]string{"a"}); return err }},
+		{"ScanString", func() error { _, _, err := cu.ScanString("a", "b", true, 10); return err }},
+		{"CountRangeString", func() error { _, err := cu.CountRangeString("a", "b", true); return err }},
+		{"InsertString", func() error { return cu.InsertString([]string{"a"}) }},
+		{"LookupBatch", func() error { _, _, err := cs.LookupBatch([]uint64{1}); return err }},
+		{"ContainsBatch", func() error { _, err := cs.ContainsBatch([]uint64{1}); return err }},
+		{"Scan", func() error { _, _, err := cs.Scan(1, 2, true, 10); return err }},
+		{"CountRange", func() error { _, err := cs.CountRange(1, 2, true); return err }},
+		{"Insert", func() error { return cs.Insert([]uint64{1}) }},
+	} {
+		if err := tc.call(); !errors.Is(err, errMode) {
+			t.Fatalf("%s: want errMode, got %v", tc.name, err)
+		}
 	}
 }
 
