@@ -2,9 +2,12 @@
 // range-partitioned view over several lix-server nodes. It owns a key→node
 // range map (fence keys, exactly like serve.Store's shard bounds), splits
 // each probe batch across nodes the way internal/serve splits across
-// shards — sort once, slice by fence — fans the per-node sub-batches out
-// concurrently over the wire, and merges the answers back into probe
-// order. Range reads prune nodes whose fences cannot intersect the range
+// shards — sort once, slice by fence — scatters the per-node sub-batches
+// over the wire and gathers the answers back into probe order. Scatter and
+// gather run on the caller's goroutine: the router writes every contacted
+// node's request before it reads any answer, so the nodes work at once
+// while the router starts no goroutine (and a batch one node owns is one
+// plain RPC). Range reads prune nodes whose fences cannot intersect the range
 // (the data-skipping idea applied at the partition level), and cross-node
 // scans merge per-node pages through internal/scan's loser tree.
 //
@@ -22,6 +25,7 @@ import (
 	"cmp"
 	"errors"
 	"fmt"
+	"slices"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -265,10 +269,13 @@ func (e *endpoint) release(c *server.Client) {
 // backoff against a fresh connection each time. Safe because every router
 // RPC is idempotent. A store-level RemoteError is deterministic — it
 // surfaces immediately with the connection kept.
-func (e *endpoint) do(fn func(*server.Client) error) error {
+func (e *endpoint) do(fn func(*server.Client) error) error { return e.retry(0, nil, fn) }
+
+// retry is do's attempt loop entered at attempt first, where lastErr is the
+// transport fault that ended the attempt before it.
+func (e *endpoint) retry(first int, lastErr error, fn func(*server.Client) error) error {
 	backoff := e.rt.opt.RetryBackoff
-	var lastErr error
-	for attempt := 0; attempt < e.rt.opt.RetryAttempts; attempt++ {
+	for attempt := first; attempt < e.rt.opt.RetryAttempts; attempt++ {
 		if attempt > 0 {
 			e.rt.retries.Add(1)
 			time.Sleep(backoff)
@@ -276,26 +283,44 @@ func (e *endpoint) do(fn func(*server.Client) error) error {
 				backoff *= 2
 			}
 		}
-		c, err := e.acquire()
-		if err != nil {
-			lastErr = err
-			continue
+		c, err := e.attempt()
+		if err == nil {
+			if err = e.settle(c, fn(c)); err == nil || remote(err) {
+				return err
+			}
 		}
-		e.rt.rpcs.Add(1)
-		e.rt.nodeRPCs[e.idx].Add(1)
-		if err = fn(c); err == nil {
-			e.release(c)
-			return nil
-		}
-		var re *server.RemoteError
-		if errors.As(err, &re) {
-			e.release(c)
-			return err
-		}
-		c.Close()
 		lastErr = err
 	}
 	return fmt.Errorf("router: %s: %w", e.addr, lastErr)
+}
+
+// attempt acquires a connection for one RPC attempt and counts the RPC.
+func (e *endpoint) attempt() (*server.Client, error) {
+	c, err := e.acquire()
+	if err == nil {
+		e.rt.rpcs.Add(1)
+		e.rt.nodeRPCs[e.idx].Add(1)
+	}
+	return c, err
+}
+
+// settle ends an attempt on c with its outcome err: the connection goes
+// back to the pool after an answer or a RemoteError, and is closed after a
+// transport fault.
+func (e *endpoint) settle(c *server.Client, err error) error {
+	if err == nil || remote(err) {
+		e.release(c)
+	} else {
+		c.Close()
+	}
+	return err
+}
+
+// remote reports whether err is a store-level failure, which retrying
+// would only repeat.
+func remote(err error) bool {
+	var re *server.RemoteError
+	return errors.As(err, &re)
 }
 
 // readEndpoint picks where a read RPC for node n goes: a lag-bounded
@@ -347,18 +372,42 @@ func (e *endpoint) freshFollower() bool {
 // ---- batch splitting (serve's sort-once, slice-by-fence, one level up) ----
 
 // sortWithPerm returns the probes in ascending order plus the permutation
-// mapping sorted index back to probe index, mirroring serve.sortProbes.
+// mapping sorted index back to probe index (nil when the probes arrive
+// sorted, so sorted is probes itself), mirroring serve.sortProbes.
 func sortWithPerm[K cmp.Ordered](probes []K) (sorted []K, perm []int32) {
-	perm = make([]int32, len(probes))
-	for i := range perm {
-		perm[i] = int32(i)
+	if slices.IsSorted(probes) {
+		return probes, nil
 	}
-	sort.SliceStable(perm, func(a, b int) bool { return probes[perm[a]] < probes[perm[b]] })
+	pairs := make([]probeSlot[K], len(probes))
+	for i, k := range probes {
+		pairs[i] = probeSlot[K]{k: k, i: int32(i)}
+	}
+	slices.SortFunc(pairs, func(a, b probeSlot[K]) int {
+		if c := cmp.Compare(a.k, b.k); c != 0 {
+			return c
+		}
+		return cmp.Compare(a.i, b.i)
+	})
 	sorted = make([]K, len(probes))
-	for i, p := range perm {
-		sorted[i] = probes[p]
+	perm = make([]int32, len(probes))
+	for j, p := range pairs {
+		sorted[j], perm[j] = p.k, p.i
 	}
 	return sorted, perm
+}
+
+// probeSlot carries a probe and its batch index through the sort.
+type probeSlot[K cmp.Ordered] struct {
+	k K
+	i int32
+}
+
+// origin maps sorted index j back to its probe index.
+func origin(perm []int32, j int) int {
+	if perm == nil {
+		return j
+	}
+	return int(perm[j])
 }
 
 func lowerBound[K cmp.Ordered](s []K, key K) int {
@@ -412,28 +461,79 @@ func fencesFor[K key](r *Router) []K {
 	return f
 }
 
-// fanOut runs rpc concurrently for every node active reports — for every
-// node when all is set, as lookups must still fetch each node's length —
-// then tallies the batch (active nodes are the contacted ones; the rest
-// count as pruned unless all is set) and joins the per-node errors.
-func (r *Router) fanOut(active func(i int) bool, all bool, rpc func(i int) error) error {
-	errs := make([]error, len(r.nodes))
-	var wg sync.WaitGroup
+// batchOp is one batch's per-node RPC, split into its halves so that
+// scatterGather can write every node's request before it reads any answer.
+type batchOp struct {
+	// active reports whether node i owns part of the batch.
+	active func(i int) bool
+	// all contacts inactive nodes too (lookups need every node's length);
+	// otherwise they are skipped and counted as pruned.
+	all bool
+	// write sends to primaries only; reads may go to followers.
+	write bool
+	// send writes node i's request on c; recv reads its answer and stores
+	// it for the merge.
+	send, recv func(i int, c *server.Client) error
+}
+
+// call is one node's share of a scattered batch: where it went, the
+// connection awaiting its answer, and the outcome of its first attempt.
+type call struct {
+	ep  *endpoint
+	c   *server.Client
+	err error
+}
+
+// scatterGather runs op on every contacted node from the calling
+// goroutine. It writes each node's request, then reads the answers in node
+// order, so the nodes work concurrently without a router goroutine. That
+// scattered try is attempt 1 of each node's RetryAttempts: a node whose
+// attempt hit a transport fault is retried alone afterwards — once no other
+// answer is pending — through the endpoint's backoff. A RemoteError is
+// final. The batch is tallied and the per-node errors are joined.
+func (r *Router) scatterGather(op batchOp) error {
+	calls := make([]call, len(r.nodes))
 	contacted := 0
-	for i := range r.nodes {
-		if active(i) {
+	for i, n := range r.nodes {
+		if op.active(i) {
 			contacted++
-		} else if !all {
+		} else if !op.all {
 			continue
 		}
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = rpc(i)
-		}(i)
+		cl := &calls[i]
+		cl.ep = n.primary
+		if !op.write {
+			cl.ep = r.readEndpoint(n)
+		}
+		if cl.c, cl.err = cl.ep.attempt(); cl.err != nil {
+			continue
+		}
+		if cl.err = op.send(i, cl.c); cl.err != nil {
+			cl.ep.settle(cl.c, cl.err)
+			cl.c = nil
+		}
 	}
-	wg.Wait()
-	r.tallyFanout(contacted, len(r.nodes), !all)
+	r.tallyFanout(contacted, len(r.nodes), !op.all)
+	for i := range calls {
+		if cl := &calls[i]; cl.c != nil {
+			cl.err = cl.ep.settle(cl.c, op.recv(i, cl.c))
+		}
+	}
+	var errs []error
+	for i := range calls {
+		i, cl := i, &calls[i]
+		if cl.err != nil && !remote(cl.err) {
+			cl.err = cl.ep.retry(1, cl.err, func(c *server.Client) error {
+				if err := op.send(i, c); err != nil {
+					return err
+				}
+				return op.recv(i, c)
+			})
+		}
+		if cl.err != nil {
+			errs = append(errs, cl.err)
+		}
+	}
 	return errors.Join(errs...)
 }
 
@@ -443,30 +543,32 @@ func (r *Router) fanOut(active func(i int) bool, all bool, rpc func(i int) error
 // sum of preceding node lengths — the cross-node version of how a store
 // sums shard snapshot lengths. Every node is contacted (a probe-less node
 // still contributes its length to the offsets).
-func (r *Router) LookupBatch(probes []uint64) ([]int, error) {
-	return lookupBatch(r, probes, (*server.Client).LookupBatch)
-}
+//
+// The rank is a sum of per-node lengths, each read when that node answered,
+// not one snapshot of the cluster: under concurrent inserts it can count
+// an insert on one node and miss an earlier one on another. With no
+// concurrent writes it equals the rank in the union of the nodes' keys.
+func (r *Router) LookupBatch(probes []uint64) ([]int, error) { return lookupBatch(r, probes) }
 
 // LookupBatchString is LookupBatch for a string-keyed router.
-func (r *Router) LookupBatchString(probes []string) ([]int, error) {
-	return lookupBatch(r, probes, (*server.Client).LookupBatchString)
-}
+func (r *Router) LookupBatchString(probes []string) ([]int, error) { return lookupBatch(r, probes) }
 
-func lookupBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]int, int, error)) ([]int, error) {
+func lookupBatch[K key](r *Router, probes []K) ([]int, error) {
 	fences := fencesFor[K](r)
 	sorted, perm := sortWithPerm(probes)
 	runs := splitRuns(sorted, fences)
 	lens := make([]int, len(r.nodes))
 	posPer := make([][]int, len(r.nodes))
-	err := r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, true, func(i int) error {
-		sub := sorted[runs[i][0]:runs[i][1]]
-		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-			pos, n, err := rpc(c, sub)
-			if err == nil {
-				posPer[i], lens[i] = pos, n
-			}
+	err := r.scatterGather(batchOp{
+		active: func(i int) bool { return runs[i][1] > runs[i][0] },
+		all:    true,
+		send: func(i int, c *server.Client) error {
+			return server.SendLookupBatch(c, sorted[runs[i][0]:runs[i][1]])
+		},
+		recv: func(i int, c *server.Client) (err error) {
+			posPer[i], lens[i], err = c.RecvLookupBatch()
 			return err
-		})
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -475,7 +577,7 @@ func lookupBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]
 	off := 0
 	for i, run := range runs {
 		for j, p := range posPer[i] {
-			out[perm[run[0]+j]] = p + off
+			out[origin(perm, run[0]+j)] = p + off
 		}
 		off += lens[i]
 	}
@@ -484,33 +586,30 @@ func lookupBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]
 
 // ContainsBatch answers Contains for every probe in probe order. Only the
 // nodes owning at least one probe are contacted.
-func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) {
-	return containsBatch(r, probes, (*server.Client).ContainsBatch)
-}
+func (r *Router) ContainsBatch(probes []uint64) ([]bool, error) { return containsBatch(r, probes) }
 
 // ContainsBatchString is ContainsBatch for a string-keyed router.
 func (r *Router) ContainsBatchString(probes []string) ([]bool, error) {
-	return containsBatch(r, probes, (*server.Client).ContainsBatchString)
+	return containsBatch(r, probes)
 }
 
-func containsBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) ([]bool, error)) ([]bool, error) {
+func containsBatch[K key](r *Router, probes []K) ([]bool, error) {
 	fences := fencesFor[K](r)
 	sorted, perm := sortWithPerm(probes)
 	runs := splitRuns(sorted, fences)
 	out := make([]bool, len(probes))
-	err := r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, false, func(i int) error {
-		run := runs[i]
-		sub := sorted[run[0]:run[1]]
-		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-			bs, err := rpc(c, sub)
-			if err != nil {
-				return err
-			}
+	err := r.scatterGather(batchOp{
+		active: func(i int) bool { return runs[i][1] > runs[i][0] },
+		send: func(i int, c *server.Client) error {
+			return server.SendContainsBatch(c, sorted[runs[i][0]:runs[i][1]])
+		},
+		recv: func(i int, c *server.Client) error {
+			bs, err := c.RecvContainsBatch()
 			for j, b := range bs {
-				out[perm[run[0]+j]] = b
+				out[origin(perm, runs[i][0]+j)] = b
 			}
-			return nil
-		})
+			return err
+		},
 	})
 	if err != nil {
 		return nil, err
@@ -522,61 +621,56 @@ func containsBatch[K key](r *Router, probes []K, rpc func(*server.Client, []K) (
 // write path; nil means every key is fsync-durable on its node. Duplicate
 // keys are no-ops (set semantics), so a partially failed call is safe to
 // retry verbatim.
-func (r *Router) InsertDurable(keys ...uint64) error {
-	return insertDurable(r, keys, (*server.Client).Insert)
-}
+func (r *Router) InsertDurable(keys ...uint64) error { return insertDurable(r, keys) }
 
 // InsertDurableString is InsertDurable for a string-keyed router.
-func (r *Router) InsertDurableString(keys ...string) error {
-	return insertDurable(r, keys, (*server.Client).InsertString)
-}
+func (r *Router) InsertDurableString(keys ...string) error { return insertDurable(r, keys) }
 
-func insertDurable[K key](r *Router, keys []K, rpc func(*server.Client, []K) error) error {
+func insertDurable[K key](r *Router, keys []K) error {
 	fences := fencesFor[K](r)
 	sorted, _ := sortWithPerm(keys)
 	runs := splitRuns(sorted, fences)
-	return r.fanOut(func(i int) bool { return runs[i][1] > runs[i][0] }, false, func(i int) error {
-		sub := sorted[runs[i][0]:runs[i][1]]
-		return r.nodes[i].primary.do(func(c *server.Client) error { return rpc(c, sub) })
+	return r.scatterGather(batchOp{
+		active: func(i int) bool { return runs[i][1] > runs[i][0] },
+		write:  true,
+		send: func(i int, c *server.Client) error {
+			return server.SendInsert(c, sorted[runs[i][0]:runs[i][1]])
+		},
+		recv: func(_ int, c *server.Client) error { return c.RecvInsert() },
 	})
 }
 
 // CountRange returns the exact number of keys in [lo, hi) by summing
 // per-node counts over the range clipped to each node's fences; nodes
 // whose range cannot intersect are never contacted.
-func (r *Router) CountRange(lo, hi uint64) (int, error) {
-	return countRange(r, lo, hi, true, (*server.Client).CountRange)
-}
+func (r *Router) CountRange(lo, hi uint64) (int, error) { return countRange(r, lo, hi, true) }
 
 // CountRangeString is CountRange for a string-keyed router.
-func (r *Router) CountRangeString(lo, hi string) (int, error) {
-	return countRange(r, lo, hi, true, (*server.Client).CountRangeString)
-}
+func (r *Router) CountRangeString(lo, hi string) (int, error) { return countRange(r, lo, hi, true) }
 
 // CountFromString counts every key >= lo.
-func (r *Router) CountFromString(lo string) (int, error) {
-	return countRange(r, lo, "", false, (*server.Client).CountRangeString)
-}
+func (r *Router) CountFromString(lo string) (int, error) { return countRange(r, lo, "", false) }
 
-func countRange[K key](r *Router, lo, hi K, bounded bool, rpc func(*server.Client, K, K, bool) (int, error)) (int, error) {
+func countRange[K key](r *Router, lo, hi K, bounded bool) (int, error) {
 	fences := fencesFor[K](r)
 	if bounded && hi <= lo {
 		r.batches.Add(1)
 		return 0, nil
 	}
 	counts := make([]int, len(r.nodes))
-	err := r.fanOut(func(i int) bool {
-		_, _, _, ok := clipRange(lo, hi, bounded, fences, i)
-		return ok
-	}, false, func(i int) error {
-		clo, chi, cbounded, _ := clipRange(lo, hi, bounded, fences, i)
-		return r.readEndpoint(r.nodes[i]).do(func(c *server.Client) error {
-			n, err := rpc(c, clo, chi, cbounded)
-			if err == nil {
-				counts[i] = n
-			}
+	err := r.scatterGather(batchOp{
+		active: func(i int) bool {
+			_, _, _, ok := clipRange(lo, hi, bounded, fences, i)
+			return ok
+		},
+		send: func(i int, c *server.Client) error {
+			clo, chi, cbounded, _ := clipRange(lo, hi, bounded, fences, i)
+			return server.SendCountRange(c, clo, chi, cbounded)
+		},
+		recv: func(i int, c *server.Client) (err error) {
+			counts[i], err = c.RecvCountRange()
 			return err
-		})
+		},
 	})
 	if err != nil {
 		return 0, err

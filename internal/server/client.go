@@ -42,18 +42,25 @@ type ClientOptions struct {
 
 // Client is one wire connection to a Server. It is NOT safe for concurrent
 // use: the protocol is strict request/response, so callers that want
-// parallelism hold several clients (the router keeps a pool per node).
+// parallelism hold several clients (the router keeps a pool per node) or
+// split each call into its send and receive halves across several clients.
 type Client struct {
 	c        repl.Conn
 	strMode  bool
 	follower bool
 	timeout  time.Duration
+	wd       *time.Timer // the one watchdog: armed by send, stopped by recv
 
 	rbuf, wbuf []byte
 	req, resp  wmsg
+	want       byte // response kind of the request in flight, 0 when idle
+	sent       int  // keys in the request in flight
 }
 
-var errMode = errors.New("server: method does not match the client's key mode")
+var (
+	errMode     = errors.New("server: method does not match the client's key mode")
+	errSequence = errors.New("server: send and receive out of turn")
+)
 
 // Dial connects to a server at addr over t and performs the handshake.
 // strMode must match the served store's key mode; a mismatch is a handshake
@@ -70,17 +77,18 @@ func Dial(t repl.Transport, addr string, strMode bool, opt ClientOptions) (*Clie
 		c:       conn,
 		strMode: strMode,
 		timeout: opt.Timeout,
+		wd:      time.AfterFunc(opt.Timeout, func() { conn.Close() }),
 		rbuf:    make([]byte, 0, 4096),
 		wbuf:    make([]byte, 0, 4096),
 	}
 	c.req = wmsg{kind: msgHello, strMode: strMode}
 	resp, err := c.rpc(&c.req, msgServerHello)
 	if err != nil {
-		conn.Close()
+		c.Close()
 		return nil, err
 	}
 	if resp.strMode != strMode {
-		conn.Close()
+		c.Close()
 		return nil, fmt.Errorf("server: handshake key-mode mismatch")
 	}
 	c.follower = resp.follower
@@ -92,25 +100,55 @@ func Dial(t repl.Transport, addr string, strMode bool, opt ClientOptions) (*Clie
 func (c *Client) Follower() bool { return c.follower }
 
 // Close severs the connection. Safe to call twice.
-func (c *Client) Close() error { return c.c.Close() }
+func (c *Client) Close() error {
+	c.wd.Stop()
+	return c.c.Close()
+}
 
-// rpc writes one request and reads its one response, bounded end to end by
-// the client timeout (watchdog close, not a deadline). A msgErr response
-// surfaces as *RemoteError with the connection still usable; any other
-// failure means the connection is broken and the caller should Close.
-func (c *Client) rpc(req *wmsg, wantKind byte) (*wmsg, error) {
-	wd := time.AfterFunc(c.timeout, func() { c.c.Close() })
-	defer wd.Stop()
-	if err := writeWmsg(c.c, &c.wbuf, req); err != nil {
+// rpc writes one request and reads its one response.
+func (c *Client) rpc(req *wmsg, want byte) (*wmsg, error) {
+	if err := c.send(req, want, 0); err != nil {
 		return nil, err
 	}
-	if err := readWmsg(c.c, &c.rbuf, c.strMode, &c.resp); err != nil {
+	return c.recv(want)
+}
+
+// send writes req as the connection's one request in flight, expecting a
+// response of kind want that answers sent keys. It re-arms the watchdog,
+// which closes the connection unless recv reads the answer within the
+// client timeout: the deadline covers the whole request, however late the
+// caller comes back for it.
+func (c *Client) send(req *wmsg, want byte, sent int) error {
+	if c.want != 0 {
+		return errSequence
+	}
+	c.wd.Reset(c.timeout)
+	if err := writeWmsg(c.c, &c.wbuf, req); err != nil {
+		c.wd.Stop()
+		return err
+	}
+	c.want, c.sent = want, sent
+	return nil
+}
+
+// recv reads the answer to the request send wrote and stops the watchdog.
+// A msgErr response surfaces as *RemoteError with the connection still
+// usable; any other failure means the connection is broken and the caller
+// should Close.
+func (c *Client) recv(want byte) (*wmsg, error) {
+	if c.want != want {
+		return nil, errSequence
+	}
+	c.want = 0
+	err := readWmsg(c.c, &c.rbuf, c.strMode, &c.resp)
+	c.wd.Stop()
+	if err != nil {
 		return nil, err
 	}
 	if c.resp.kind == msgErr {
 		return nil, &RemoteError{Msg: c.resp.errMsg}
 	}
-	if c.resp.kind != wantKind {
+	if c.resp.kind != want {
 		return nil, errWire
 	}
 	return &c.resp, nil
@@ -139,6 +177,15 @@ func begin[K key](c *Client, kind byte, keys []K, lo, hi K) error {
 	return nil
 }
 
+// The batch RPCs come in two forms. The blocking methods (LookupBatch,
+// ContainsBatch, CountRange, Insert and their string twins) send a request
+// and wait for its answer. The split form sends with a Send function and
+// reads the answer with the matching Recv method later, so one goroutine
+// can put requests on several clients before reading any answer and the
+// servers work on them at once (the router's scatter/gather). A client
+// holds one request in flight: Send while one is outstanding, or Recv of
+// another kind, fails with no I/O. The blocking methods are Send then Recv.
+
 // LookupBatch answers Lookup for every probe in probe order, plus the
 // store's visible length at the same instant (the router turns per-node
 // positions into global ones with it).
@@ -152,18 +199,32 @@ func (c *Client) LookupBatchString(probes []string) (pos []int, storeLen int, er
 }
 
 func lookupBatch[K key](c *Client, probes []K) ([]int, int, error) {
-	var z K
-	if err := begin(c, msgLookupBatch, probes, z, z); err != nil {
+	if err := SendLookupBatch(c, probes); err != nil {
 		return nil, 0, err
 	}
-	resp, err := c.rpc(&c.req, msgPositions)
+	return c.RecvLookupBatch()
+}
+
+// SendLookupBatch writes a LookupBatch request; RecvLookupBatch reads its
+// answer.
+func SendLookupBatch[K key](c *Client, probes []K) error {
+	var z K
+	if err := begin(c, msgLookupBatch, probes, z, z); err != nil {
+		return err
+	}
+	return c.send(&c.req, msgPositions, len(probes))
+}
+
+// RecvLookupBatch reads the answer to SendLookupBatch.
+func (c *Client) RecvLookupBatch() (pos []int, storeLen int, err error) {
+	resp, err := c.recv(msgPositions)
 	if err != nil {
 		return nil, 0, err
 	}
-	if len(resp.keys) != len(probes) {
+	if len(resp.keys) != c.sent {
 		return nil, 0, errWire
 	}
-	pos := make([]int, len(resp.keys))
+	pos = make([]int, len(resp.keys))
 	for i, p := range resp.keys {
 		pos[i] = int(p)
 	}
@@ -179,15 +240,29 @@ func (c *Client) ContainsBatchString(probes []string) ([]bool, error) {
 }
 
 func containsBatch[K key](c *Client, probes []K) ([]bool, error) {
-	var z K
-	if err := begin(c, msgContainsBatch, probes, z, z); err != nil {
+	if err := SendContainsBatch(c, probes); err != nil {
 		return nil, err
 	}
-	resp, err := c.rpc(&c.req, msgBools)
+	return c.RecvContainsBatch()
+}
+
+// SendContainsBatch writes a ContainsBatch request; RecvContainsBatch
+// reads its answer.
+func SendContainsBatch[K key](c *Client, probes []K) error {
+	var z K
+	if err := begin(c, msgContainsBatch, probes, z, z); err != nil {
+		return err
+	}
+	return c.send(&c.req, msgBools, len(probes))
+}
+
+// RecvContainsBatch reads the answer to SendContainsBatch.
+func (c *Client) RecvContainsBatch() ([]bool, error) {
+	resp, err := c.recv(msgBools)
 	if err != nil {
 		return nil, err
 	}
-	if len(resp.bools) != len(probes) {
+	if len(resp.bools) != c.sent {
 		return nil, errWire
 	}
 	return resp.bools, nil
@@ -234,11 +309,25 @@ func (c *Client) CountRangeString(lo, hi string, bounded bool) (int, error) {
 }
 
 func countRange[K key](c *Client, lo, hi K, bounded bool) (int, error) {
-	if err := begin[K](c, msgCountRange, nil, lo, hi); err != nil {
+	if err := SendCountRange(c, lo, hi, bounded); err != nil {
 		return 0, err
 	}
+	return c.RecvCountRange()
+}
+
+// SendCountRange writes a CountRange request; RecvCountRange reads its
+// answer.
+func SendCountRange[K key](c *Client, lo, hi K, bounded bool) error {
+	if err := begin[K](c, msgCountRange, nil, lo, hi); err != nil {
+		return err
+	}
 	c.req.bounded = bounded
-	resp, err := c.rpc(&c.req, msgCount)
+	return c.send(&c.req, msgCount, 0)
+}
+
+// RecvCountRange reads the answer to SendCountRange.
+func (c *Client) RecvCountRange() (int, error) {
+	resp, err := c.recv(msgCount)
 	if err != nil {
 		return 0, err
 	}
@@ -254,11 +343,25 @@ func (c *Client) Insert(keys []uint64) error { return insert(c, keys) }
 func (c *Client) InsertString(keys []string) error { return insert(c, keys) }
 
 func insert[K key](c *Client, keys []K) error {
+	if err := SendInsert(c, keys); err != nil {
+		return err
+	}
+	return c.RecvInsert()
+}
+
+// SendInsert writes an Insert request; RecvInsert reads its answer.
+func SendInsert[K key](c *Client, keys []K) error {
 	var z K
 	if err := begin(c, msgInsert, keys, z, z); err != nil {
 		return err
 	}
-	_, err := c.rpc(&c.req, msgOK)
+	return c.send(&c.req, msgOK, 0)
+}
+
+// RecvInsert reads the answer to SendInsert: nil means the keys are
+// fsync-durable on the server.
+func (c *Client) RecvInsert() error {
+	_, err := c.recv(msgOK)
 	return err
 }
 
