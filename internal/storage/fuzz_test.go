@@ -141,7 +141,7 @@ func FuzzWALReplay(f *testing.F) {
 		var committed []uint64
 		for i := 0; i < int(nrec%8); i++ {
 			rec := []uint64{uint64(i) * 17, uint64(i)*17 + 1}
-			if err := w.append(rec); err != nil {
+			if err := uint64Keys.writeRecord(w, [][]uint64{rec}); err != nil {
 				t.Fatal(err)
 			}
 			committed = append(committed, rec...)
@@ -156,7 +156,7 @@ func FuzzWALReplay(f *testing.F) {
 		w.close()
 
 		input := append(append([]byte{}, prefix...), tail...)
-		keys, good := replayWAL(input) // must never panic
+		keys, good := uint64Keys.replay(input) // must never panic
 		if good < int64(len(prefix)) {
 			t.Fatalf("replay truncated into the committed prefix: %d < %d", good, len(prefix))
 		}
@@ -169,7 +169,7 @@ func FuzzWALReplay(f *testing.F) {
 			}
 		}
 		// Idempotence: replaying the truncated image changes nothing.
-		keys2, good2 := replayWAL(input[:good])
+		keys2, good2 := uint64Keys.replay(input[:good])
 		if good2 != good || len(keys2) != len(keys) {
 			t.Fatalf("replay not idempotent: (%d,%d) vs (%d,%d)", good2, len(keys2), good, len(keys))
 		}

@@ -59,16 +59,26 @@ func (e *Engine) ReplDurableSeq() uint64 {
 	return e.replDurable
 }
 
-// replRecordLocked captures a just-encoded WAL frame, assigning it the next
-// stream sequence. Called with mu held at every site that writes a WAL
-// frame; takes ownership of the slices (callers clone when the memory
-// aliases caller-owned data). No-op until a sink is installed.
-func (e *Engine) replRecordLocked(keys []uint64, strs []string) {
+// replRecordLocked captures a just-encoded WAL record's keys as the next
+// stream frame. Called with mu held at every site that writes a WAL
+// record; copies batches, which alias caller-owned memory. No-op until a
+// sink is installed.
+func (p *delta[K]) replRecordLocked(e *Engine, batches [][]K) {
 	if e.replSink == nil {
 		return
 	}
+	n := 0
+	for _, b := range batches {
+		n += len(b)
+	}
+	keys := make([]K, 0, n)
+	for _, b := range batches {
+		keys = append(keys, b...)
+	}
 	e.replNext++
-	e.replPending = append(e.replPending, ReplFrame{Seq: e.replNext, Keys: keys, Strs: strs})
+	f := ReplFrame{Seq: e.replNext}
+	*p.frameKeys(&f) = keys
+	e.replPending = append(e.replPending, f)
 }
 
 // replPromoteLocked moves encoded frames with Seq <= covered to the durable
@@ -130,39 +140,24 @@ func (e *Engine) replTrimLocked(trimTo uint64) {
 // re-applied frames deduplicate on the follower, so over-inclusion is safe.
 // Never includes appended-but-unsynced keys: those are not durable and must
 // not reach a follower before their fsync.
-func (e *Engine) ReplSnapshot() (seq uint64, keys []uint64) {
-	if e.opts.StringKeys {
-		panic("storage: ReplSnapshot on a string-keyed engine")
-	}
+func (e *Engine) ReplSnapshot() (seq uint64, keys []uint64) { return replSnapshot[uint64](e) }
+
+// ReplSnapshotStrings is ReplSnapshot for the string key mode.
+func (e *Engine) ReplSnapshotStrings() (seq uint64, keys []string) { return replSnapshot[string](e) }
+
+func replSnapshot[K keyType](e *Engine) (seq uint64, keys []K) {
+	p := keyed[K](e, "ReplSnapshot")
 	// Durable tail first, segments second — the same capture order as scan
 	// snapshots: a frame trimmed between the two loads has already published
 	// its keys into the segment list we read next, so nothing is lost.
 	e.mu.Lock()
 	seq = e.replDurable
-	var tail []uint64
-	for _, f := range e.replTail {
-		tail = append(tail, f.Keys...)
+	var tail []K
+	for i := range e.replTail {
+		tail = append(tail, *p.frameKeys(&e.replTail[i])...)
 	}
 	e.mu.Unlock()
-	keys = append(e.Keys(), tail...)
-	slices.Sort(keys)
-	keys = slices.Compact(keys)
-	return seq, keys
-}
-
-// ReplSnapshotStrings is ReplSnapshot for the string key mode.
-func (e *Engine) ReplSnapshotStrings() (seq uint64, keys []string) {
-	if !e.opts.StringKeys {
-		panic("storage: ReplSnapshotStrings on a uint64-keyed engine")
-	}
-	e.mu.Lock()
-	seq = e.replDurable
-	var tail []string
-	for _, f := range e.replTail {
-		tail = append(tail, f.Strs...)
-	}
-	e.mu.Unlock()
-	keys = append(e.KeysStrings(), tail...)
+	keys = append(p.served(*e.segs.Load()), tail...)
 	slices.Sort(keys)
 	keys = slices.Compact(keys)
 	return seq, keys

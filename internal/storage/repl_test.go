@@ -17,9 +17,14 @@ import (
 // in-flight one would hand the replication sink (and so followers) keys a
 // primary crash could still lose, breaking served ⊆ primary-durable.
 func TestReplPromoteExcludesMidFsyncFrames(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) { replPromoteExcludesMidFsyncFrames(t, uint64Mode) })
+	t.Run("string", func(t *testing.T) { replPromoteExcludesMidFsyncFrames(t, stringMode) })
+}
+
+func replPromoteExcludesMidFsyncFrames[K keyType](t *testing.T, m keyMode[K]) {
 	ffs := vfs.NewFaultFS(vfs.OS, vfs.FaultConfig{})
 	ffs.Disarm()
-	e := openT(t, t.TempDir(), Options{FS: ffs, CompactFanout: 3})
+	e := openT(t, t.TempDir(), Options{FS: ffs, CompactFanout: 3, StringKeys: m.strKeys})
 	defer e.Close()
 
 	var mu sync.Mutex
@@ -53,7 +58,7 @@ func TestReplPromoteExcludesMidFsyncFrames(t *testing.T) {
 	trap.Store(true)
 
 	done := make(chan error, 1)
-	go func() { done <- e.CommitBatch([]uint64{1}) }() // leader: frame seq 1
+	go func() { done <- m.commit(e, m.key(1)) }() // leader: frame seq 1
 	select {
 	case <-entered:
 	case <-time.After(30 * time.Second):
@@ -61,7 +66,7 @@ func TestReplPromoteExcludesMidFsyncFrames(t *testing.T) {
 	}
 	// Fsync in flight, mutex free: this append encodes frame seq 2 into the
 	// WAL's write buffer. Its bytes are not covered by the parked fsync.
-	if err := e.AppendBatch([]uint64{2}); err != nil {
+	if err := m.append(e, []K{m.key(2)}); err != nil {
 		t.Fatal(err)
 	}
 	close(release)

@@ -27,20 +27,21 @@ import (
 // process. Scrub shrinks the window in which a crash would turn silent
 // rot into data loss.
 
-// verifySegmentImage checks a raw segment file image's magic and body
-// checksum — the cheap integrity gate, no decode.
-func verifySegmentImage(data []byte) error {
+// verifySegmentImage checks a raw segment file image's magic (either
+// version) and body checksum — the cheap integrity gate, no decode — and
+// returns the body.
+func verifySegmentImage(data []byte) (body []byte, err error) {
 	if len(data) < len(segMagic)+4 {
-		return fmt.Errorf("storage: segment file truncated to %d bytes: %w", len(data), binenc.ErrCorrupt)
+		return nil, fmt.Errorf("storage: segment file truncated to %d bytes: %w", len(data), binenc.ErrCorrupt)
 	}
 	if m := [8]byte(data[:8]); m != segMagic && m != segMagic2 {
-		return fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
+		return nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
 	}
-	body := data[len(segMagic) : len(data)-4]
+	body = data[len(segMagic) : len(data)-4]
 	if crc32.Checksum(body, crcTable) != binary.LittleEndian.Uint32(data[len(data)-4:]) {
-		return fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
+		return nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
 	}
-	return nil
+	return body, nil
 }
 
 // encodeLiveSegment re-encodes a live segment's file image from its
@@ -64,7 +65,7 @@ func (e *Engine) Scrub() (checked, healed int, err error) {
 		data, rerr := e.fs.ReadFile(s.path)
 		verr := rerr
 		if rerr == nil {
-			verr = verifySegmentImage(data)
+			_, verr = verifySegmentImage(data)
 		}
 		checked++
 		if verr == nil {

@@ -121,9 +121,6 @@ func (s *segment) maxKey() uint64 { return s.keys[len(s.keys)-1] }
 // one key, so a non-nil strs is the discriminator.
 func (s *segment) isString() bool { return s.strs != nil }
 
-func (s *segment) minStr() string { return s.strs[0] }
-func (s *segment) maxStr() string { return s.strs[len(s.strs)-1] }
-
 // numKeys returns the segment's exact key count in its native domain.
 func (s *segment) numKeys() int {
 	if s.isString() {
@@ -147,12 +144,14 @@ func parseSegmentFileName(name string) (seqLo, seqHi uint64, ok bool) {
 	return lo, hi, true
 }
 
-// encodeSegment builds the full file image (magic + body + checksum) for
-// sorted unique non-empty keys with their trained index and filter, and
-// returns the [keyStart, keyEnd) bounds of the delta-varint key block
-// within the image so the write path can build the lazy-scan block
-// directory over the exact bytes it is about to commit.
-func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) (img []byte, keyStart, keyEnd int, err error) {
+// encodeSegmentImage builds a full file image — magic, body,
+// crc32c(body) — whose body is the layout both versions share: the
+// delta-varint key block, the length-prefixed serialized RMI and Bloom
+// filter, then each extra section length-prefixed. It returns the
+// [keyStart, keyEnd) bounds of the key block within the image so the
+// write path can build the lazy-scan block directory over the exact bytes
+// it is about to commit.
+func encodeSegmentImage(magic [8]byte, keys []uint64, rmi *core.RMI, filter *bloom.Filter, extra ...[]byte) (img []byte, keyStart, keyEnd int, err error) {
 	body := binenc.AppendUvarint(nil, uint64(len(keys)))
 	kStart := len(body)
 	body = binenc.AppendUvarint(body, keys[0])
@@ -166,31 +165,35 @@ func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) (img []by
 	}
 	body = binenc.AppendBytes(body, rb)
 	body = binenc.AppendBytes(body, filter.AppendBinary(nil))
+	for _, x := range extra {
+		body = binenc.AppendBytes(body, x)
+	}
 
-	out := make([]byte, 0, len(segMagic)+len(body)+4)
-	out = append(out, segMagic[:]...)
+	out := make([]byte, 0, len(magic)+len(body)+4)
+	out = append(out, magic[:]...)
 	out = append(out, body...)
 	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	return out, len(segMagic) + kStart, len(segMagic) + kEnd, nil
+	return out, len(magic) + kStart, len(magic) + kEnd, nil
 }
 
-// decodeSegment parses a full file image. All errors are reported, never
-// panicked, including on adversarial input: checksum first, then strictly
-// validated key deltas, then the model and filter decoders (which bind the
-// RMI to the decoded key block and cross-check its key count).
-func decodeSegment(data []byte) (keys []uint64, rmi *core.RMI, filter *bloom.Filter, blocks *blockIndex, err error) {
-	if len(data) < len(segMagic)+4 || [8]byte(data[:8]) != segMagic {
-		return nil, nil, nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
+// decodeSegmentImage parses a full file image of the given version,
+// mirroring encodeSegmentImage, and returns the raw key-block bytes and the
+// extra sections alongside the decoded parts. All errors are reported,
+// never panicked, including on adversarial input: checksum first, then
+// strictly validated key deltas, then the model and filter decoders (which
+// bind the RMI to the decoded key block and cross-check its key count).
+func decodeSegmentImage(data []byte, magic [8]byte, extra int) (keys []uint64, keyBlock []byte, rmi *core.RMI, filter *bloom.Filter, sections [][]byte, err error) {
+	body, err := verifySegmentImage(data)
+	if err == nil && [8]byte(data[:8]) != magic {
+		err = fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
 	}
-	body := data[len(segMagic) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, nil, nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
+	if err != nil {
+		return nil, nil, nil, nil, nil, err
 	}
 	r := binenc.NewReader(body)
 	n := r.Count(len(body), 1)
 	if r.Err() != nil || n < 1 {
-		return nil, nil, nil, nil, binenc.ErrCorrupt
+		return nil, nil, nil, nil, nil, binenc.ErrCorrupt
 	}
 	keyStart := len(body) - r.Remaining()
 	keys = make([]uint64, n)
@@ -199,35 +202,54 @@ func decodeSegment(data []byte) (keys []uint64, rmi *core.RMI, filter *bloom.Fil
 		d := r.Uvarint()
 		k := keys[i-1] + d
 		if d < 1 || k < keys[i-1] { // zero delta or uint64 wrap
-			return nil, nil, nil, nil, binenc.ErrCorrupt
+			return nil, nil, nil, nil, nil, binenc.ErrCorrupt
 		}
 		keys[i] = k
 	}
 	if r.Err() != nil {
-		return nil, nil, nil, nil, r.Err()
+		return nil, nil, nil, nil, nil, r.Err()
 	}
-	keyEnd := len(body) - r.Remaining()
+	keyBlock = body[keyStart : len(body)-r.Remaining()]
 	rmi, err = core.DecodeRMI(r.Bytes(), keys)
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, nil, nil, err
 	}
 	filter, err = bloom.Decode(binenc.NewReader(r.Bytes()))
 	if err != nil {
-		return nil, nil, nil, nil, err
+		return nil, nil, nil, nil, nil, err
+	}
+	for i := 0; i < extra; i++ {
+		sections = append(sections, r.Bytes())
 	}
 	if r.Err() != nil {
-		return nil, nil, nil, nil, r.Err()
+		return nil, nil, nil, nil, nil, r.Err()
 	}
 	// Exact decode, like WAL records: trailing bytes mean the file was
 	// written by something newer or buggier than this decoder — reject it
 	// at open rather than serving it partially.
 	if r.Remaining() != 0 {
-		return nil, nil, nil, nil, fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
+		return nil, nil, nil, nil, nil, fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
+	}
+	return keys, keyBlock, rmi, filter, sections, nil
+}
+
+// encodeSegment builds the v1 file image for sorted unique non-empty keys
+// with their trained index and filter.
+func encodeSegment(keys []uint64, rmi *core.RMI, filter *bloom.Filter) (img []byte, keyStart, keyEnd int, err error) {
+	return encodeSegmentImage(segMagic, keys, rmi, filter)
+}
+
+// decodeSegment parses a v1 file image, plus the lazy-scan block
+// directory over its key block.
+func decodeSegment(data []byte) (keys []uint64, rmi *core.RMI, filter *bloom.Filter, blocks *blockIndex, err error) {
+	keys, keyBlock, rmi, filter, _, err := decodeSegmentImage(data, segMagic, 0)
+	if err != nil {
+		return nil, nil, nil, nil, err
 	}
 	// The lazy-scan directory over the exact key-block bytes: its
-	// validating pass mirrors the loop above, so success here is
+	// validating pass mirrors the eager decode, so success here is
 	// guaranteed for anything the eager decode accepted.
-	blocks, err = buildBlockIndex(body[keyStart:keyEnd], n)
+	blocks, err = buildBlockIndex(keyBlock, len(keys))
 	if err != nil {
 		return nil, nil, nil, nil, err
 	}
@@ -315,76 +337,21 @@ func openSegmentFile(fs vfs.FS, path string, seqLo, seqHi uint64) (*segment, err
 // encodeStringSegment builds the v2 file image for a codec index over
 // sorted unique non-empty string keys plus a Bloom filter over those keys.
 func encodeStringSegment(si *core.StringIndex, filter *bloom.Filter) ([]byte, error) {
-	prefixes := si.Prefixes()
-	body := binenc.AppendUvarint(nil, uint64(len(prefixes)))
-	body = binenc.AppendUvarint(body, prefixes[0])
-	for i := 1; i < len(prefixes); i++ {
-		body = binenc.AppendUvarint(body, prefixes[i]-prefixes[i-1])
-	}
-	rb, err := si.RMI().AppendBinary(nil)
-	if err != nil {
-		return nil, err
-	}
-	body = binenc.AppendBytes(body, rb)
-	body = binenc.AppendBytes(body, filter.AppendBinary(nil))
-	body = binenc.AppendBytes(body, si.Dict().AppendBinary(nil))
-
-	out := make([]byte, 0, len(segMagic2)+len(body)+4)
-	out = append(out, segMagic2[:]...)
-	out = append(out, body...)
-	out = binary.LittleEndian.AppendUint32(out, crc32.Checksum(body, crcTable))
-	return out, nil
+	img, _, _, err := encodeSegmentImage(segMagic2, si.Prefixes(), si.RMI(), filter, si.Dict().AppendBinary(nil))
+	return img, err
 }
 
-// decodeStringSegment parses a v2 file image, mirroring decodeSegment's
-// guarantees: errors, never panics, on adversarial input; checksum first;
-// strictly validated prefix deltas; exact decode with trailing bytes
-// rejected; the dictionary decoder cross-checks every reconstructed key's
-// prefix and ordering.
+// decodeStringSegment parses a v2 file image under decodeSegment's
+// guarantees; the dictionary decoder cross-checks every reconstructed
+// key's prefix and ordering.
 func decodeStringSegment(data []byte) (si *core.StringIndex, filter *bloom.Filter, err error) {
-	if len(data) < len(segMagic2)+4 || [8]byte(data[:8]) != segMagic2 {
-		return nil, nil, fmt.Errorf("storage: bad segment magic: %w", binenc.ErrCorrupt)
-	}
-	body := data[len(segMagic2) : len(data)-4]
-	sum := binary.LittleEndian.Uint32(data[len(data)-4:])
-	if crc32.Checksum(body, crcTable) != sum {
-		return nil, nil, fmt.Errorf("storage: segment checksum mismatch: %w", binenc.ErrCorrupt)
-	}
-	r := binenc.NewReader(body)
-	n := r.Count(len(body), 1)
-	if r.Err() != nil || n < 1 {
-		return nil, nil, binenc.ErrCorrupt
-	}
-	prefixes := make([]uint64, n)
-	prefixes[0] = r.Uvarint()
-	for i := 1; i < n; i++ {
-		d := r.Uvarint()
-		k := prefixes[i-1] + d
-		if d < 1 || k < prefixes[i-1] {
-			return nil, nil, binenc.ErrCorrupt
-		}
-		prefixes[i] = k
-	}
-	if r.Err() != nil {
-		return nil, nil, r.Err()
-	}
-	rmi, err := core.DecodeRMI(r.Bytes(), prefixes)
+	prefixes, _, rmi, filter, sections, err := decodeSegmentImage(data, segMagic2, 1)
 	if err != nil {
 		return nil, nil, err
 	}
-	filter, err = bloom.Decode(binenc.NewReader(r.Bytes()))
+	dict, err := keycodec.DecodeDict(binenc.NewReader(sections[0]), prefixes)
 	if err != nil {
 		return nil, nil, err
-	}
-	dict, err := keycodec.DecodeDict(binenc.NewReader(r.Bytes()), prefixes)
-	if err != nil {
-		return nil, nil, err
-	}
-	if r.Err() != nil {
-		return nil, nil, r.Err()
-	}
-	if r.Remaining() != 0 {
-		return nil, nil, fmt.Errorf("storage: %d trailing bytes after segment body: %w", r.Remaining(), binenc.ErrCorrupt)
 	}
 	return core.AssembleStringIndex(rmi, dict), filter, nil
 }

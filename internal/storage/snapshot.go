@@ -2,11 +2,9 @@ package storage
 
 import (
 	"slices"
-	"sort"
 	"sync"
 
 	"learnedindex/internal/scan"
-	"learnedindex/internal/search"
 )
 
 // Snapshot is a pinned point-in-time view of the engine for range scans
@@ -46,51 +44,39 @@ func (e *Engine) AcquireSnapshot() *Snapshot {
 // (the segment list is shared pointers either way). Keys >= hi are
 // invisible to the snapshot — the scan iterator's exclusive upper bound,
 // applied at capture.
-func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot {
-	sn := snapshotPool.Get().(*Snapshot)
-	sn.eng = e
-
-	// Delta first (see the type comment for why this order is loss-free).
-	e.mu.Lock()
-	sn.pending = scan.AppendInRange(sn.pending[:0], e.pending, lo, hi)
-	sn.pending = scan.AppendInRange(sn.pending, e.flushing, lo, hi)
-	e.mu.Unlock()
-	slices.Sort(sn.pending)
-	sn.pending = slices.Compact(sn.pending)
-
-	// Pin under segMu: publication and retirement both hold it, so a
-	// segment cannot be retired between the list load and its pin.
-	e.segMu.Lock()
-	segs := *e.segs.Load()
-	for _, s := range segs {
-		s.pins.Add(1)
-	}
-	sn.segs = append(sn.segs[:0], segs...)
-	e.segMu.Unlock()
-	return sn
-}
+func (e *Engine) AcquireSnapshotRange(lo, hi uint64) *Snapshot { return acquire(e, lo, hi, true) }
 
 // AcquireSnapshotRangeStr is AcquireSnapshotRange for a string-keyed
 // engine. Strings have no natural +∞, so the upper bound is explicit:
 // bounded restricts the view to [lo, hi), !bounded to keys >= lo (hi is
-// ignored). The delta-before-segments acquisition order and the pinning
-// rules are identical to the uint64 path.
+// ignored).
 func (e *Engine) AcquireSnapshotRangeStr(lo, hi string, bounded bool) *Snapshot {
+	return acquire(e, lo, hi, bounded)
+}
+
+// acquire captures the delta in [lo, hi) when bounded, or >= lo
+// otherwise, then pins the segment list.
+func acquire[K keyType](e *Engine, lo, hi K, bounded bool) *Snapshot {
+	p := keyed[K](e, "snapshot")
 	sn := snapshotPool.Get().(*Snapshot)
 	sn.eng = e
 
+	// Delta first (see the type comment for why this order is loss-free).
+	dst := p.snapKeys(sn)
 	e.mu.Lock()
 	if bounded {
-		sn.pendingS = scan.AppendInRange(sn.pendingS[:0], e.pendingS, lo, hi)
-		sn.pendingS = scan.AppendInRange(sn.pendingS, e.flushingS, lo, hi)
+		*dst = scan.AppendInRange((*dst)[:0], p.pending, lo, hi)
+		*dst = scan.AppendInRange(*dst, p.flushing, lo, hi)
 	} else {
-		sn.pendingS = scan.AppendFrom(sn.pendingS[:0], e.pendingS, lo)
-		sn.pendingS = scan.AppendFrom(sn.pendingS, e.flushingS, lo)
+		*dst = scan.AppendFrom((*dst)[:0], p.pending, lo)
+		*dst = scan.AppendFrom(*dst, p.flushing, lo)
 	}
 	e.mu.Unlock()
-	slices.Sort(sn.pendingS)
-	sn.pendingS = slices.Compact(sn.pendingS)
+	slices.Sort(*dst)
+	*dst = slices.Compact(*dst)
 
+	// Pin under segMu: publication and retirement both hold it, so a
+	// segment cannot be retired between the list load and its pin.
 	e.segMu.Lock()
 	segs := *e.segs.Load()
 	for _, s := range segs {
@@ -130,9 +116,7 @@ func (sn *Snapshot) Release() {
 	sn.segs = sn.segs[:0]
 	// Drop delta string refs before pooling so a recycled snapshot never
 	// pins key bytes from a finished scan.
-	for i := range sn.pendingS {
-		sn.pendingS[i] = ""
-	}
+	clear(sn.pendingS)
 	sn.pendingS = sn.pendingS[:0]
 	sn.pending = sn.pending[:0]
 	snapshotPool.Put(sn)
@@ -185,7 +169,7 @@ func (sn *Snapshot) PendingStrings() []string { return sn.pendingS }
 // KeysCursor — no lazy block decode exists (or is needed) in this mode.
 func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) ([]string, scan.Positioner[string]) {
 	s := sn.segs[i]
-	if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
+	if (bounded && hi <= s.strs[0]) || lo > s.strs[len(s.strs)-1] {
 		return nil, nil
 	}
 	return s.strs, s.sindex
@@ -195,14 +179,10 @@ func (sn *Snapshot) SegmentStrings(i int, lo, hi string, bounded bool) ([]string
 // (fence → Bloom → plan, newest segment first). The pending delta is NOT
 // consulted — this is the segment-membership primitive CountRange uses to
 // correct for delta keys already served.
-func (sn *Snapshot) Contains(key uint64) bool {
-	return containsIn(sn.segs, key)
-}
+func (sn *Snapshot) Contains(key uint64) bool { return uint64Keys.containsIn(sn.segs, key) }
 
 // ContainsString is Contains for a string-keyed snapshot's segments.
-func (sn *Snapshot) ContainsString(key string) bool {
-	return containsInStr(sn.segs, key)
-}
+func (sn *Snapshot) ContainsString(key string) bool { return stringKeys.containsIn(sn.segs, key) }
 
 // CountRange returns the exact number of distinct keys k in [lo, hi)
 // across the snapshot: segments answer by pure position arithmetic — at
@@ -211,60 +191,40 @@ func (sn *Snapshot) ContainsString(key string) bool {
 // unflushed delta contributes an exact correction (each in-range delta key
 // counts only if no segment already serves it). Segments hold disjoint key
 // sets, so the per-segment sums compose exactly.
-func (sn *Snapshot) CountRange(lo, hi uint64) int {
-	if hi <= lo {
-		return 0
-	}
-	total := 0
-	for _, s := range sn.segs {
-		if hi <= s.minKey() || lo > s.maxKey() {
-			continue
-		}
-		a := 0
-		if lo > s.minKey() {
-			a = s.plan.Lookup(lo)
-		}
-		b := len(s.keys)
-		if hi <= s.maxKey() {
-			b = s.plan.Lookup(hi)
-		}
-		total += b - a
-	}
-	p := sn.pending
-	for i := search.Binary(p, lo, 0, len(p)); i < len(p) && p[i] < hi; i++ {
-		if !containsIn(sn.segs, p[i]) {
-			total++
-		}
-	}
-	return total
-}
+func (sn *Snapshot) CountRange(lo, hi uint64) int { return uint64Keys.count(sn, lo, hi, true) }
 
 // CountRangeStr is CountRange for string keys: exact distinct-key count
 // over [lo, hi) when bounded, or keys >= lo otherwise, by the same
 // position arithmetic (two codec-index lookups per overlapping segment)
 // plus the delta correction.
 func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
+	return stringKeys.count(sn, lo, hi, bounded)
+}
+
+func (d *domain[K]) count(sn *Snapshot, lo, hi K, bounded bool) int {
 	if bounded && hi <= lo {
 		return 0
 	}
 	total := 0
 	for _, s := range sn.segs {
-		if (bounded && hi <= s.minStr()) || lo > s.maxStr() {
+		ks := d.keys(s)
+		if (bounded && hi <= ks[0]) || lo > ks[len(ks)-1] {
 			continue
 		}
 		a := 0
-		if lo > s.minStr() {
-			a = s.sindex.Lookup(lo)
+		if lo > ks[0] {
+			a = d.index(s).Lookup(lo)
 		}
-		b := len(s.strs)
-		if bounded && hi <= s.maxStr() {
-			b = s.sindex.Lookup(hi)
+		b := len(ks)
+		if bounded && hi <= ks[len(ks)-1] {
+			b = d.index(s).Lookup(hi)
 		}
 		total += b - a
 	}
-	p := sn.pendingS
-	for i := sort.SearchStrings(p, lo); i < len(p) && (!bounded || p[i] < hi); i++ {
-		if !containsInStr(sn.segs, p[i]) {
+	p := *d.snapKeys(sn)
+	i, _ := slices.BinarySearch(p, lo)
+	for ; i < len(p) && (!bounded || p[i] < hi); i++ {
+		if !d.containsIn(sn.segs, p[i]) {
 			total++
 		}
 	}
@@ -274,24 +234,19 @@ func (sn *Snapshot) CountRangeStr(lo, hi string, bounded bool) int {
 // CountRange is Snapshot.CountRange over a throwaway range-restricted
 // snapshot: the engine-level learned COUNT for callers that don't hold a
 // scan open.
-func (e *Engine) CountRange(lo, hi uint64) int {
-	if hi <= lo {
-		return 0
-	}
-	sn := e.AcquireSnapshotRange(lo, hi)
-	defer sn.Release()
-	return sn.CountRange(lo, hi)
-}
+func (e *Engine) CountRange(lo, hi uint64) int { return countRange(e, lo, hi, true) }
 
 // CountRangeStr is Engine.CountRange for string keys.
 func (e *Engine) CountRangeStr(lo, hi string, bounded bool) int {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
+	return countRange(e, lo, hi, bounded)
+}
+
+func countRange[K keyType](e *Engine, lo, hi K, bounded bool) int {
+	p := keyed[K](e, "count")
 	if bounded && hi <= lo {
 		return 0
 	}
-	sn := e.AcquireSnapshotRangeStr(lo, hi, bounded)
+	sn := acquire(e, lo, hi, bounded)
 	defer sn.Release()
-	return sn.CountRangeStr(lo, hi, bounded)
+	return p.count(sn, lo, hi, bounded)
 }

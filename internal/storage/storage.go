@@ -35,6 +35,16 @@
 // reads and with background compaction. I/O errors latch: once a write
 // fails, the error is sticky and returned by every subsequent
 // Append/Sync/Flush/Close so an ack can never be trusted past a failure.
+//
+// # Key modes
+//
+// An engine serves uint64 keys or, with Options.StringKeys, string keys of
+// the order-preserving key codec; a directory is one mode forever. What
+// differs by mode lives in one small domain per key type (keys.go): the
+// WAL record grammar and file prefix, the record chunk bound, the segment
+// format, index and Bloom probe. Every operation is one generic body over
+// it, and one check panics when a key-typed method is called in the other
+// mode.
 package storage
 
 import (
@@ -52,7 +62,6 @@ import (
 
 	"learnedindex/internal/core"
 	"learnedindex/internal/obs"
-	"learnedindex/internal/slicepool"
 	"learnedindex/internal/vfs"
 )
 
@@ -150,19 +159,12 @@ type Engine struct {
 	// never across segment training, and never across a group-commit
 	// leader's fsync (the leader drops mu for the disk wait so appends and
 	// cohort enqueues keep flowing).
-	mu      sync.Mutex
-	wal     *wal
-	walSeq  uint64
-	pending []uint64
-	// flushing holds the pending keys frozen by an in-progress Flush, from
-	// the freeze until the trained segment is published. Scan snapshots copy
-	// pending+flushing (before loading the segment list), so a key migrating
-	// through a flush is visible in at least one layer at every instant.
-	flushing []uint64
-	// pendingS/flushingS are the string-mode twins of pending/flushing;
-	// exactly one pair is ever populated, per Options.StringKeys.
-	pendingS  []string
-	flushingS []string
+	mu     sync.Mutex
+	wal    *wal
+	walSeq uint64
+	// keys is the key-typed write plane — pending, flushing and cohort
+	// buffers — of the engine's one key mode (keys.go).
+	keys keyPlane
 	// err is the fail-stop poison latch: a commit-plane failure sets it
 	// (wrapped in ErrPoisoned) and every later durable operation returns
 	// it. degradedCause is the read-only latch of the segment plane
@@ -182,8 +184,6 @@ type Engine struct {
 	durableSeq uint64
 	syncing    bool
 	syncCond   *sync.Cond
-	cohort     [][]uint64 // queued Commit batches awaiting the next frame
-	cohortS    [][]string // string-mode commit cohort (same plane, same fsync)
 	// flushMu serializes whole flushes (freeze → train → commit → retire),
 	// keeping concurrent Flush calls from racing each other while mu stays
 	// free for appends during the heavy middle part.
@@ -304,6 +304,11 @@ func Open(dir string, opts Options) (*Engine, error) {
 	e.m = newEngineMetrics(e.reg)
 	e.reg.RegisterCollector(e.collect)
 	e.syncCond = sync.NewCond(&e.mu)
+	if opts.StringKeys {
+		e.keys = &delta[string]{domain: stringKeys}
+	} else {
+		e.keys = &delta[uint64]{domain: uint64Keys}
+	}
 	segs, nextSeq, err := e.loadSegments()
 	if err != nil {
 		return nil, err
@@ -320,64 +325,9 @@ func Open(dir string, opts Options) (*Engine, error) {
 	e.segs.Store(&segs)
 	e.nextSeq = nextSeq
 
-	// Replay every log in sequence order (several exist only when a crash
-	// interrupted a flush between freeze and retire), truncating the torn
-	// tail of each; then materialize the recovered keys over the newest
-	// segments and retire the replayed files. Ordering is crash-safe: the
-	// segment is committed before any log is deleted, and re-replaying an
-	// already-materialized log just deduplicates.
-	walSeqs, walPaths, otherKind, err := scanWALFiles(e.fs, dir, opts.StringKeys)
-	if err != nil {
+	if err := e.keys.recoverWAL(e); err != nil {
 		return nil, err
 	}
-	if otherKind > 0 {
-		return nil, fmt.Errorf("storage: %s holds %d WAL file(s) of the other key mode (engine opened with StringKeys=%v)",
-			dir, otherKind, opts.StringKeys)
-	}
-	if opts.StringKeys {
-		var recovered []string
-		for _, p := range walPaths {
-			data, err := e.fs.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			keys, _ := replayWALStrings(data)
-			recovered = append(recovered, keys...)
-		}
-		if len(recovered) > 0 {
-			if _, err := e.materializeStrings(recovered, false); err != nil {
-				return nil, err
-			}
-		}
-	} else {
-		var recovered []uint64
-		for _, p := range walPaths {
-			data, err := e.fs.ReadFile(p)
-			if err != nil {
-				return nil, err
-			}
-			keys, _ := replayWAL(data)
-			recovered = append(recovered, keys...)
-		}
-		if len(recovered) > 0 {
-			if _, err := e.materialize(recovered, false); err != nil {
-				return nil, err
-			}
-		}
-	}
-	for _, p := range walPaths {
-		// Best-effort: a log that survives its own retirement is replayed
-		// again at the next open and deduplicated away.
-		e.countIOErr("remove replayed WAL", e.fs.Remove(p))
-	}
-	if len(walSeqs) > 0 {
-		e.walSeq = walSeqs[len(walSeqs)-1] + 1
-	}
-	w, err := newWAL(e.fs, filepath.Join(dir, e.walName(e.walSeq)))
-	if err != nil {
-		return nil, err
-	}
-	e.wal = w
 	if opts.ScrubInterval > 0 {
 		e.wg.Add(1)
 		go e.scrubber(opts.ScrubInterval)
@@ -523,27 +473,85 @@ func (e *Engine) loadSegments() ([]*segment, uint64, error) {
 	}
 }
 
-// maxAppendChunk bounds the keys per WAL record (~5 MB at worst-case
-// 10-byte varints, well under maxWALRecord) so arbitrarily large Append
-// calls — e.g. a multi-million-key bootstrap — frame into several records
-// instead of tripping the record-size limit.
+// recoverWAL replays every log of the engine's key mode in sequence order
+// (several exist only when a crash interrupted a flush between freeze and
+// retire), truncating the torn tail of each; then materializes the
+// recovered keys over the newest segments, retires the replayed files, and
+// opens a fresh active log. Ordering is crash-safe: the segment is
+// committed before any log is deleted, and re-replaying an
+// already-materialized log just deduplicates.
+func (p *delta[K]) recoverWAL(e *Engine) error {
+	walSeqs, walPaths, otherKind, err := scanWALFiles(e.fs, e.dir, e.opts.StringKeys)
+	if err != nil {
+		return err
+	}
+	if otherKind > 0 {
+		return fmt.Errorf("storage: %s holds %d WAL file(s) of the other key mode (engine opened with StringKeys=%v)",
+			e.dir, otherKind, e.opts.StringKeys)
+	}
+	var recovered []K
+	for _, path := range walPaths {
+		data, err := e.fs.ReadFile(path)
+		if err != nil {
+			return err
+		}
+		keys, _ := p.replay(data)
+		recovered = append(recovered, keys...)
+	}
+	if len(recovered) > 0 {
+		if _, err := p.materialize(e, recovered, false); err != nil {
+			return err
+		}
+	}
+	for _, path := range walPaths {
+		// Best-effort: a log that survives its own retirement is replayed
+		// again at the next open and deduplicated away.
+		e.countIOErr("remove replayed WAL", e.fs.Remove(path))
+	}
+	if len(walSeqs) > 0 {
+		e.walSeq = walSeqs[len(walSeqs)-1] + 1
+	}
+	w, err := newWAL(e.fs, filepath.Join(e.dir, p.walName(e.walSeq)))
+	if err != nil {
+		return err
+	}
+	e.wal = w
+	return nil
+}
+
+// maxAppendChunk bounds the keys per uint64 WAL record (~5 MB at
+// worst-case 10-byte varints, well under maxWALRecord) so arbitrarily
+// large Append calls — e.g. a multi-million-key bootstrap — frame into
+// several records instead of tripping the record-size limit.
 const maxAppendChunk = 1 << 19
+
+// maxStringChunkBytes bounds one string WAL record's encoded payload
+// (~4 MB, well under maxWALRecord), the byte-domain twin of
+// maxAppendChunk: strings are variable-width, so string records chunk by
+// encoded size instead of key count.
+const maxStringChunkBytes = 1 << 22
 
 // Append logs keys (as one or more WAL records) and buffers them as
 // pending. They are durable after the next Sync and served after the next
 // Flush.
-func (e *Engine) Append(keys ...uint64) error {
-	return e.AppendBatch(keys)
-}
+func (e *Engine) Append(keys ...uint64) error { return appendBatch(e, keys) }
 
 // AppendBatch is Append without variadic sugar: the bulk-ingest fast
 // path. The record encode runs in a pooled scratch buffer, so a
 // steady-state append allocates nothing beyond the pending list's
 // amortized growth.
-func (e *Engine) AppendBatch(keys []uint64) error {
-	if e.opts.StringKeys {
-		panic("storage: uint64 append on a string-keyed engine")
-	}
+func (e *Engine) AppendBatch(keys []uint64) error { return appendBatch(e, keys) }
+
+// AppendString logs string keys and buffers them as pending: the string
+// engine's Append. Durable after the next Sync, served after the next
+// Flush.
+func (e *Engine) AppendString(keys ...string) error { return appendBatch(e, keys) }
+
+// AppendStringBatch is AppendString without variadic sugar.
+func (e *Engine) AppendStringBatch(keys []string) error { return appendBatch(e, keys) }
+
+func appendBatch[K keyType](e *Engine, keys []K) error {
+	p := keyed[K](e, "append")
 	if len(keys) == 0 {
 		return nil
 	}
@@ -556,15 +564,11 @@ func (e *Engine) AppendBatch(keys []uint64) error {
 	if e.closed.Load() {
 		return fmt.Errorf("storage: engine closed")
 	}
-	for len(keys) > 0 {
-		chunk := keys[:min(len(keys), maxAppendChunk)]
-		if err := e.wal.append(chunk); err != nil {
-			return e.poisonLocked(err)
-		}
-		e.pending = append(e.pending, chunk...)
-		e.replRecordLocked(slices.Clone(chunk), nil)
-		keys = keys[len(chunk):]
+	p.frameLocked(e, [][]K{keys})
+	if e.err != nil {
+		return e.err
 	}
+	p.pending = append(p.pending, keys...)
 	e.appendSeq++
 	return nil
 }
@@ -585,87 +589,27 @@ func (e *Engine) Sync() error {
 // ticket when the flush lands. When Commit returns nil the keys survive
 // any crash (they are served after the next Flush, like Append). The keys
 // slice must not be mutated until Commit returns.
-func (e *Engine) Commit(keys ...uint64) error {
-	return e.CommitBatch(keys)
-}
-
-// AppendString logs string keys and buffers them as pending: the string
-// engine's Append. Durable after the next Sync, served after the next
-// Flush.
-func (e *Engine) AppendString(keys ...string) error {
-	return e.AppendStringBatch(keys)
-}
-
-// AppendStringBatch is AppendString without variadic sugar. Records chunk
-// by encoded size (strings are variable-width) instead of key count.
-func (e *Engine) AppendStringBatch(keys []string) error {
-	if !e.opts.StringKeys {
-		panic("storage: string append on a uint64-keyed engine")
-	}
-	if len(keys) == 0 {
-		return nil
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	for lo := 0; lo < len(keys); {
-		hi, _ := stringChunkEnd(keys, lo)
-		if err := e.wal.appendStrings(keys[lo:hi]); err != nil {
-			return e.poisonLocked(err)
-		}
-		e.pendingS = append(e.pendingS, keys[lo:hi]...)
-		e.replRecordLocked(nil, slices.Clone(keys[lo:hi]))
-		lo = hi
-	}
-	e.appendSeq++
-	return nil
-}
-
-// CommitString durably inserts string keys in one group-committed call —
-// the string twin of Commit: the batch joins the string cohort, a leader
-// frames the whole cohort and fsyncs once for everyone. The keys slice
-// must not be mutated until CommitString returns.
-func (e *Engine) CommitString(keys ...string) error {
-	return e.CommitStringBatch(keys)
-}
-
-// CommitStringBatch is CommitString without variadic sugar.
-func (e *Engine) CommitStringBatch(keys []string) error {
-	if !e.opts.StringKeys {
-		panic("storage: string commit on a uint64-keyed engine")
-	}
-	e.maybeBackpressure()
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if len(keys) == 0 {
-		return e.waitDurable(e.appendSeq)
-	}
-	if err := e.writeGateLocked(); err != nil {
-		return err
-	}
-	if e.closed.Load() {
-		return fmt.Errorf("storage: engine closed")
-	}
-	e.cohortS = append(e.cohortS, keys)
-	e.pendingS = append(e.pendingS, keys...)
-	e.appendSeq++
-	err := e.waitDurable(e.appendSeq)
-	if err == nil {
-		e.m.commits.Inc()
-	}
-	return err
-}
+func (e *Engine) Commit(keys ...uint64) error { return commitBatch(e, keys) }
 
 // CommitBatch is Commit without variadic sugar.
-func (e *Engine) CommitBatch(keys []uint64) error {
-	if e.opts.StringKeys {
-		panic("storage: uint64 commit on a string-keyed engine")
+func (e *Engine) CommitBatch(keys []uint64) error { return commitBatch(e, keys) }
+
+// CommitString durably inserts string keys in one group-committed call —
+// the string engine's Commit. The keys slice must not be mutated until
+// CommitString returns.
+func (e *Engine) CommitString(keys ...string) error { return commitBatch(e, keys) }
+
+// CommitStringBatch is CommitString without variadic sugar. A key too
+// long for any WAL record is refused with an error before the batch
+// enqueues; the engine stays healthy.
+func (e *Engine) CommitStringBatch(keys []string) error { return commitBatch(e, keys) }
+
+func commitBatch[K keyType](e *Engine, keys []K) error {
+	p := keyed[K](e, "commit")
+	for _, k := range keys {
+		if p.recSize(k) > p.maxKeySize {
+			return fmt.Errorf("storage: commit refused: a key encodes past the %d-byte WAL record limit", maxWALRecord)
+		}
 	}
 	e.maybeBackpressure()
 	e.mu.Lock()
@@ -683,8 +627,8 @@ func (e *Engine) CommitBatch(keys []uint64) error {
 	// Enqueue: the cohort slice holds a reference to the caller's batch
 	// (the caller blocks until the frame is encoded, so it stays valid);
 	// pending gets the keys now so a racing Flush freeze serves them.
-	e.cohort = append(e.cohort, keys)
-	e.pending = append(e.pending, keys...)
+	p.cohort = append(p.cohort, keys)
+	p.pending = append(p.pending, keys...)
 	e.appendSeq++
 	err := e.waitDurable(e.appendSeq)
 	if err == nil {
@@ -698,155 +642,55 @@ func (e *Engine) CommitBatch(keys []uint64) error {
 // queue. Called with mu held by the elected leader and by the Flush
 // freeze (which must encode queued batches into the log it is about to
 // fsync and rotate past). Errors latch.
-func (e *Engine) drainCohortLocked() {
-	if e.opts.StringKeys {
-		e.drainCohortStrLocked()
+func (p *delta[K]) drainCohortLocked(e *Engine) {
+	if len(p.cohort) == 0 || e.err != nil {
 		return
 	}
-	if len(e.cohort) == 0 || e.err != nil {
-		return
-	}
-	e.m.cohortCommits.Observe(uint64(len(e.cohort)))
-	// Chunk by total key count so a monster cohort still respects the
-	// per-record bound; batches themselves are never split (each is at
-	// most one caller's Commit, far below the chunk limit in practice —
-	// oversized single batches fall back to their own frames).
-	start, count := 0, 0
-	flushRun := func(end int) {
-		if e.err != nil || start >= end {
-			return
-		}
-		if err := e.wal.appendBatches(e.cohort[start:end]); err != nil {
-			e.poisonLocked(err)
-		} else if e.replSink != nil {
-			run := make([]uint64, 0, count)
-			for _, b := range e.cohort[start:end] {
-				run = append(run, b...)
-			}
-			e.replRecordLocked(run, nil)
-		}
-		start, count = end, 0
-	}
-	for i, b := range e.cohort {
-		if len(b) > maxAppendChunk {
-			// Oversized batch: close the run, then frame it alone in chunks.
-			flushRun(i)
-			for lo := 0; lo < len(b) && e.err == nil; lo += maxAppendChunk {
-				hi := min(lo+maxAppendChunk, len(b))
-				if err := e.wal.append(b[lo:hi]); err != nil {
-					e.poisonLocked(err)
-				} else {
-					e.replRecordLocked(slices.Clone(b[lo:hi]), nil)
-				}
-			}
-			start = i + 1
-			continue
-		}
-		if count+len(b) > maxAppendChunk {
-			flushRun(i)
-		}
-		count += len(b)
-	}
-	flushRun(len(e.cohort))
-	for i := range e.cohort {
-		e.cohort[i] = nil
-	}
-	e.cohort = e.cohort[:0]
+	e.m.cohortCommits.Observe(uint64(len(p.cohort)))
+	p.frameLocked(e, p.cohort)
+	clear(p.cohort)
+	p.cohort = p.cohort[:0]
 }
 
-// drainCohortStrLocked is drainCohortLocked for the string-mode cohort.
-// Chunk runs by *encoded bytes* (strings are variable-width) so a cohort of
-// long keys still frames under the record limit; the count bound rides
-// along for free because byte size dominates it.
-func (e *Engine) drainCohortStrLocked() {
-	if len(e.cohortS) == 0 || e.err != nil {
-		return
-	}
-	e.m.cohortCommits.Observe(uint64(len(e.cohortS)))
-	start, bytes := 0, 0
-	flushRun := func(end int) {
-		if e.err != nil || start >= end {
-			return
-		}
-		if err := e.wal.appendStringBatches(e.cohortS[start:end]); err != nil {
-			e.poisonLocked(err)
-		} else if e.replSink != nil {
-			var run []string
-			for _, b := range e.cohortS[start:end] {
-				run = append(run, b...)
-			}
-			e.replRecordLocked(nil, run)
-		}
-		start, bytes = end, 0
-	}
-	for i, b := range e.cohortS {
-		sz := encodedStringsSize(b)
-		if sz > maxStringChunkBytes {
-			// Oversized batch: close the run, then frame it alone in chunks.
-			flushRun(i)
+// frameLocked encodes batches into WAL records: contiguous batches share
+// one record while their total weight fits chunkLimit; batches are never
+// split, except that a batch over the limit on its own closes the run and
+// frames alone in chunks. Called with mu held; errors latch.
+func (p *delta[K]) frameLocked(e *Engine, batches [][]K) {
+	start, size := 0, 0
+	for i, b := range batches {
+		sz := p.size(b)
+		if sz > p.chunkLimit {
+			p.recordLocked(e, batches[start:i])
 			for lo := 0; lo < len(b) && e.err == nil; {
-				hi, _ := stringChunkEnd(b, lo)
-				if err := e.wal.appendStrings(b[lo:hi]); err != nil {
-					e.poisonLocked(err)
-				} else {
-					e.replRecordLocked(nil, slices.Clone(b[lo:hi]))
-				}
+				hi := p.chunkEnd(b, lo)
+				p.recordLocked(e, [][]K{b[lo:hi]})
 				lo = hi
 			}
-			start = i + 1
+			start, size = i+1, 0
 			continue
 		}
-		if bytes+sz > maxStringChunkBytes {
-			flushRun(i)
-		}
-		bytes += sz
-	}
-	flushRun(len(e.cohortS))
-	for i := range e.cohortS {
-		e.cohortS[i] = nil
-	}
-	e.cohortS = e.cohortS[:0]
-}
-
-// maxStringChunkBytes bounds one string WAL record's encoded payload
-// (~4 MB, well under maxWALRecord), the byte-domain twin of
-// maxAppendChunk.
-const maxStringChunkBytes = 1 << 22
-
-// encodedStringsSize returns the payload bytes keys encode to (lengths +
-// data), excluding the record's count header.
-func encodedStringsSize(keys []string) int {
-	n := 0
-	for _, k := range keys {
-		n += len(k) + uvarintLen(uint64(len(k)))
-	}
-	return n
-}
-
-func uvarintLen(v uint64) int {
-	n := 1
-	for v >= 0x80 {
-		v >>= 7
-		n++
-	}
-	return n
-}
-
-// stringChunkEnd returns the end index of the longest chunk of keys[lo:]
-// whose encoded size fits maxStringChunkBytes (always at least one key, so
-// a single enormous key still frames — the record limit catches true
-// monsters).
-func stringChunkEnd(keys []string, lo int) (hi, size int) {
-	hi = lo
-	for hi < len(keys) {
-		sz := len(keys[hi]) + uvarintLen(uint64(len(keys[hi])))
-		if hi > lo && size+sz > maxStringChunkBytes {
-			break
+		if size+sz > p.chunkLimit {
+			p.recordLocked(e, batches[start:i])
+			start, size = i, 0
 		}
 		size += sz
-		hi++
 	}
-	return hi, size
+	p.recordLocked(e, batches[start:])
+}
+
+// recordLocked writes batches as one WAL record and captures it for the
+// replication plane. Called with mu held; a no-op for an empty run or a
+// latched error, and a write failure latches.
+func (p *delta[K]) recordLocked(e *Engine, batches [][]K) {
+	if len(batches) == 0 || e.err != nil {
+		return
+	}
+	if err := p.writeRecord(e.wal, batches); err != nil {
+		e.poisonLocked(err)
+		return
+	}
+	p.replRecordLocked(e, batches)
 }
 
 // waitDurable blocks until every write accepted at or before target is
@@ -883,7 +727,7 @@ func (e *Engine) waitDurable(target uint64) error {
 			e.syncCond.Broadcast()
 			return e.err
 		}
-		e.drainCohortLocked()
+		e.keys.drainCohortLocked(e)
 		if e.err == nil {
 			if err := e.wal.w.Flush(); err != nil {
 				e.poisonLocked(err)
@@ -931,7 +775,9 @@ func (e *Engine) waitDurable(target uint64) error {
 // during the heavy part. The frozen log is deleted only after the segment
 // is committed — a crash in between re-replays it into duplicates, never
 // a loss.
-func (e *Engine) Flush() error {
+func (e *Engine) Flush() error { return e.keys.flush(e) }
+
+func (p *delta[K]) flush(e *Engine) error {
 	e.flushMu.Lock()
 	defer e.flushMu.Unlock()
 
@@ -940,7 +786,7 @@ func (e *Engine) Flush() error {
 		e.mu.Unlock()
 		return err
 	}
-	if len(e.pending) == 0 && len(e.pendingS) == 0 {
+	if len(p.pending) == 0 {
 		e.mu.Unlock()
 		return nil
 	}
@@ -948,25 +794,17 @@ func (e *Engine) Flush() error {
 	// Queued Commit batches must land in the log being frozen: their keys
 	// are already pending (and will reach the segment), so their frames
 	// have to be covered by this fsync for the ack plane to stay honest.
-	e.drainCohortLocked()
+	p.drainCohortLocked(e)
 	if e.err != nil {
 		err := e.err
 		e.mu.Unlock()
 		return err
 	}
-	// Freeze the mode's pending list (scan-visible while the segment
-	// trains off-lock).
-	var snap []uint64
-	var snapS []string
-	if e.opts.StringKeys {
-		snapS = e.pendingS
-		e.pendingS = getPendingStrBuf()
-		e.flushingS = snapS
-	} else {
-		snap = e.pending
-		e.pending = getPendingBuf()
-		e.flushing = snap
-	}
+	// Freeze the pending list (scan-visible while the segment trains
+	// off-lock).
+	snap := p.pending
+	p.pending = p.pool.Get()
+	p.flushing = snap
 	frozen := e.wal
 	// The frozen log must be durable before the ack plane moves past it:
 	// a Sync arriving after the freeze fsyncs only the new active log, so
@@ -991,7 +829,7 @@ func (e *Engine) Flush() error {
 	// publishes, these frames trim from the durable tail (below).
 	replTrimTo := e.replNext
 	e.syncCond.Broadcast()
-	nw, err := newWAL(e.fs, filepath.Join(e.dir, e.walName(e.walSeq+1)))
+	nw, err := newWAL(e.fs, filepath.Join(e.dir, p.walName(e.walSeq+1)))
 	if err != nil {
 		err = e.poisonLocked(err)
 		e.mu.Unlock()
@@ -1001,22 +839,16 @@ func (e *Engine) Flush() error {
 	e.wal = nw
 	e.mu.Unlock()
 
-	var published bool
-	var merr error
-	if e.opts.StringKeys {
-		published, merr = e.materializeStrings(snapS, true)
-	} else {
-		published, merr = e.materialize(snap, true)
-	}
+	published, merr := p.materialize(e, snap, true)
 	if merr != nil {
 		// Keep the frozen log file on disk — it is the only durable home
 		// of the snapshot now — but release its descriptor. A failed
 		// materialize (after its retries) is a segment-plane failure: the
 		// engine degrades to read-only rather than poisons, because every
 		// acked key is still safe in the frozen log and recovery replays it
-		// at the next Open. e.flushing/e.flushingS stays set (and the
-		// snapshot stays out of the pool): the acked keys remain visible to
-		// scans on the degraded engine.
+		// at the next Open. p.flushing stays set (and the snapshot stays
+		// out of the pool): the acked keys remain visible to scans on the
+		// degraded engine.
 		e.countIOErr("close frozen WAL", frozen.close())
 		e.degrade(merr)
 		return merr
@@ -1027,16 +859,14 @@ func (e *Engine) Flush() error {
 	e.countIOErr("remove frozen WAL", e.fs.Remove(frozen.path))
 	// The keys are served by the published segment now; only after the
 	// scan-visible flushing reference is dropped may the buffer recycle.
+	// Entries are zeroed first so a pooled buffer never pins flushed key
+	// bytes.
 	e.mu.Lock()
-	e.flushing = nil
-	e.flushingS = nil
+	p.flushing = nil
 	e.replTrimLocked(replTrimTo)
 	e.mu.Unlock()
-	if e.opts.StringKeys {
-		putPendingStrBuf(snapS)
-	} else {
-		putPendingBuf(snap)
-	}
+	clear(snap)
+	p.pool.Put(snap)
 	if !published {
 		// Everything deduplicated away: no segment, so the count cannot
 		// ride a publication — it lands here. (Publishing flushes are
@@ -1048,27 +878,6 @@ func (e *Engine) Flush() error {
 	return nil
 }
 
-// pendingPool recycles the engine's pending-key buffers across flushes:
-// every freeze hands its snapshot to materialize (which clones what it
-// needs) and takes a recycled buffer for the next fill, so sustained
-// ingest stops re-growing a fresh pending slice per flush cycle.
-var pendingPool slicepool.Pool[uint64]
-
-func getPendingBuf() []uint64  { return pendingPool.Get() }
-func putPendingBuf(b []uint64) { pendingPool.Put(b) }
-
-// pendingStrPool is pendingPool for the string mode. Entries are zeroed
-// before recycling so a pooled buffer never pins flushed key bytes.
-var pendingStrPool slicepool.Pool[string]
-
-func getPendingStrBuf() []string { return pendingStrPool.Get() }
-func putPendingStrBuf(b []string) {
-	for i := range b {
-		b[i] = ""
-	}
-	pendingStrPool.Put(b)
-}
-
 // materialize dedupes keys against the served segments and commits the
 // novel remainder as one new trained segment, reporting whether a segment
 // was published. Called from Flush (off the write mutex, countFlush=true)
@@ -1076,23 +885,18 @@ func putPendingStrBuf(b []string) {
 // flush). With countFlush, the flush counter is bumped under segMu
 // together with the publication, so a concurrent Stats never observes the
 // segment without its flush.
-func (e *Engine) materialize(keys []uint64, countFlush bool) (bool, error) {
+func (d *domain[K]) materialize(e *Engine, keys []K, countFlush bool) (bool, error) {
 	fresh := slices.Clone(keys)
 	slices.Sort(fresh)
 	fresh = slices.Compact(fresh)
 	// Segment disjointness: drop keys already served by an older segment.
 	segs := *e.segs.Load()
-	fresh = slices.DeleteFunc(fresh, func(k uint64) bool { return containsIn(segs, k) })
+	fresh = slices.DeleteFunc(fresh, func(k K) bool { return d.containsIn(segs, k) })
 	if len(fresh) == 0 {
 		return false, nil
 	}
 	seq := e.nextSeq
-	var seg *segment
-	err := e.retryIO(func() error {
-		var werr error
-		seg, werr = writeSegment(e.fs, e.m.ioErrors, e.dir, seq, seq, fresh, e.opts.Config, e.opts.BloomFPR)
-		return werr
-	})
+	seg, err := d.trainSegment(e, seq, seq, fresh)
 	if err != nil {
 		return false, err
 	}
@@ -1108,82 +912,44 @@ func (e *Engine) materialize(keys []uint64, countFlush bool) (bool, error) {
 	return true, nil
 }
 
-// materializeStrings is materialize for string keys: dedupe against the
-// served v2 segments, train a prefix index over the novel remainder, and
-// publish it as one new segment.
-func (e *Engine) materializeStrings(keys []string, countFlush bool) (bool, error) {
-	fresh := slices.Clone(keys)
-	slices.Sort(fresh)
-	fresh = slices.Compact(fresh)
-	segs := *e.segs.Load()
-	fresh = slices.DeleteFunc(fresh, func(k string) bool { return containsInStr(segs, k) })
-	if len(fresh) == 0 {
-		return false, nil
-	}
-	seq := e.nextSeq
+// trainSegment trains and commits keys (sorted, unique, non-empty) as the
+// segment covering sequences [seqLo, seqHi], under the segment-plane
+// retry policy.
+func (d *domain[K]) trainSegment(e *Engine, seqLo, seqHi uint64, keys []K) (*segment, error) {
 	var seg *segment
 	err := e.retryIO(func() error {
 		var werr error
-		seg, werr = writeStringSegment(e.fs, e.m.ioErrors, e.dir, seq, seq, fresh, e.opts.Config, e.opts.BloomFPR)
+		seg, werr = d.writeSegment(e.fs, e.m.ioErrors, e.dir, seqLo, seqHi, keys, e.opts.Config, e.opts.BloomFPR)
 		return werr
 	})
-	if err != nil {
-		return false, err
-	}
-	e.nextSeq = seq + 1
-	e.segMu.Lock()
-	next := append(slices.Clone(*e.segs.Load()), seg)
-	e.segs.Store(&next)
-	e.m.modelsTrained.Inc()
-	if countFlush {
-		e.m.flushes.Inc()
-	}
-	e.segMu.Unlock()
-	return true, nil
-}
-
-// walName returns the engine's mode-appropriate WAL filename for seq.
-func (e *Engine) walName(seq uint64) string {
-	if e.opts.StringKeys {
-		return walStrFileName(seq)
-	}
-	return walFileName(seq)
+	return seg, err
 }
 
 // scanWALFiles returns the engine-mode WAL files in dir, sorted by
 // sequence, plus a count of logs of the *other* key mode so Open can
 // reject a mode-mismatched directory instead of ignoring durable keys.
+// ReadDir lists by filename, and canonical names carry fixed-width hex
+// sequences, so listing order is sequence order.
 func scanWALFiles(fs vfs.FS, dir string, strMode bool) (seqs []uint64, paths []string, otherKind int, err error) {
 	entries, err := fs.ReadDir(dir)
 	if err != nil {
 		return nil, nil, 0, err
 	}
-	type sw struct {
-		seq  uint64
-		path string
-	}
-	var all []sw
 	for _, ent := range entries {
 		name := ent.Name()
 		seq, ok := parseWALFileName(name)
-		isStr := false
-		if !ok {
+		isStr := !ok
+		if isStr {
 			seq, ok = parseWALStrFileName(name)
-			isStr = true
 		}
-		if !ok {
-			continue
-		}
-		if isStr != strMode {
+		switch {
+		case !ok:
+		case isStr != strMode:
 			otherKind++
-			continue
+		default:
+			seqs = append(seqs, seq)
+			paths = append(paths, filepath.Join(dir, name))
 		}
-		all = append(all, sw{seq, filepath.Join(dir, name)})
-	}
-	sort.Slice(all, func(i, j int) bool { return all[i].seq < all[j].seq })
-	for _, s := range all {
-		seqs = append(seqs, s.seq)
-		paths = append(paths, s.path)
 	}
 	return seqs, paths, otherKind, nil
 }
@@ -1192,10 +958,10 @@ func scanWALFiles(fs vfs.FS, dir string, strMode bool) (seqs []uint64, paths []s
 // most recently flushed (often hottest) runs are consulted early. The
 // min/max fence and the Bloom filter prune almost every miss before any
 // model or key block is touched.
-func containsIn(segs []*segment, key uint64) bool {
+func (d *domain[K]) containsIn(segs []*segment, key K) bool {
 	for i := len(segs) - 1; i >= 0; i-- {
 		s := segs[i]
-		if key < s.minKey() || key > s.maxKey() {
+		if ks := d.keys(s); key < ks[0] || key > ks[len(ks)-1] {
 			continue
 		}
 		// Bloom funnel (probe → pass → hit): pass−hit is the false
@@ -1204,13 +970,13 @@ func containsIn(segs []*segment, key uint64) bool {
 		if obs.Enabled {
 			s.bloomProbes.Add(1)
 		}
-		if !s.filter.MayContainUint64(key) {
+		if !d.mayContain(s, key) {
 			continue
 		}
 		if obs.Enabled {
 			s.bloomPass.Add(1)
 		}
-		if s.plan.Contains(key) {
+		if d.index(s).Contains(key) {
 			if obs.Enabled {
 				s.bloomHits.Add(1)
 			}
@@ -1220,108 +986,74 @@ func containsIn(segs []*segment, key uint64) bool {
 	return false
 }
 
-// containsInStr is containsIn over string-keyed segments: min/max fence,
-// then the Bloom filter over the exact keys, then the codec index.
-func containsInStr(segs []*segment, key string) bool {
-	for i := len(segs) - 1; i >= 0; i-- {
-		s := segs[i]
-		if key < s.minStr() || key > s.maxStr() {
-			continue
-		}
-		if obs.Enabled {
-			s.bloomProbes.Add(1)
-		}
-		if !s.filter.MayContain(key) {
-			continue
-		}
-		if obs.Enabled {
-			s.bloomPass.Add(1)
-		}
-		if s.sindex.Contains(key) {
-			if obs.Enabled {
-				s.bloomHits.Add(1)
-			}
-			return true
+// lookup returns the global lower-bound position of key over segs: the
+// number of served keys < key. Segments hold disjoint key sets, so the
+// global position is the exact sum of per-segment positions; the min/max
+// fence resolves out-of-range segments with two comparisons instead of a
+// model run (a probe at or below a segment's minimum contributes 0, one
+// above its maximum contributes the full count).
+func (d *domain[K]) lookup(segs []*segment, key K) int {
+	total := 0
+	for _, s := range segs {
+		ks := d.keys(s)
+		switch {
+		case key <= ks[0]:
+			// contributes 0
+		case key > ks[len(ks)-1]:
+			total += len(ks)
+		default:
+			total += d.index(s).Lookup(key)
 		}
 	}
-	return false
+	return total
+}
+
+// served returns every key of segs, sorted ascending — a fresh merged
+// copy.
+func (d *domain[K]) served(segs []*segment) []K {
+	total := 0
+	for _, s := range segs {
+		total += len(d.keys(s))
+	}
+	out := make([]K, 0, total)
+	for _, s := range segs {
+		out = append(out, d.keys(s)...)
+	}
+	slices.Sort(out)
+	return out
 }
 
 // Contains reports whether key is served (flushed). Lock-free.
 func (e *Engine) Contains(key uint64) bool {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	return containsIn(*e.segs.Load(), key)
+	return keyed[uint64](e, "read").containsIn(*e.segs.Load(), key)
 }
 
 // ContainsString reports whether a string key is served (flushed).
 // Lock-free; the string engine's Contains.
 func (e *Engine) ContainsString(key string) bool {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	return containsInStr(*e.segs.Load(), key)
+	return keyed[string](e, "read").containsIn(*e.segs.Load(), key)
 }
+
+// Lookup returns the global lower-bound position of key over all served
+// keys: the number of served keys < key.
+func (e *Engine) Lookup(key uint64) int { return keyed[uint64](e, "read").lookup(*e.segs.Load(), key) }
 
 // LookupString returns the global lower-bound position of key over all
 // served string keys: the number of served keys < key, in codec (byte)
-// order. Segments hold disjoint key sets, so per-segment positions sum
-// exactly, with the min/max fence resolving out-of-range segments on two
-// comparisons.
+// order.
 func (e *Engine) LookupString(key string) int {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	total := 0
-	for _, s := range *e.segs.Load() {
-		switch {
-		case key <= s.minStr():
-			// contributes 0
-		case key > s.maxStr():
-			total += len(s.strs)
-		default:
-			total += s.sindex.Lookup(key)
-		}
-	}
-	return total
+	return keyed[string](e, "read").lookup(*e.segs.Load(), key)
 }
 
 // ContainsBatch answers Contains for every probe against one captured
 // segment list, writing into out (len(out) must equal len(probes)) — a
 // single consistent view even when a flush publishes mid-batch.
 func (e *Engine) ContainsBatch(probes []uint64, out []bool) {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
+	d := keyed[uint64](e, "read")
 	segs := *e.segs.Load()
 	for i, k := range probes {
-		out[i] = containsIn(segs, k)
+		out[i] = d.containsIn(segs, k)
 	}
-}
-
-// Lookup returns the global lower-bound position of key over all served
-// keys: the number of served keys < key. Segments hold disjoint key sets,
-// so the global position is the exact sum of per-segment positions; the
-// min/max fence resolves out-of-range segments with two comparisons
-// instead of a model run (a probe at or below a segment's minimum
-// contributes 0, one above its maximum contributes the full count).
-func (e *Engine) Lookup(key uint64) int {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	total := 0
-	for _, s := range *e.segs.Load() {
-		switch {
-		case key <= s.minKey():
-			// contributes 0
-		case key > s.maxKey():
-			total += len(s.keys)
-		default:
-			total += s.plan.Lookup(key)
-		}
-	}
-	return total
 }
 
 // posScratch pools the per-segment position buffer of LookupBatchSorted
@@ -1333,9 +1065,7 @@ var posScratch = sync.Pool{New: func() any { return new([]int) }}
 // into out (len(out) must equal len(probes)). Each segment resolves the
 // whole batch with its amortized sorted-batch primitive.
 func (e *Engine) LookupBatchSorted(probes []uint64, out []int) {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
+	keyed[uint64](e, "read")
 	for i := range out {
 		out[i] = 0
 	}
@@ -1382,48 +1112,17 @@ func (e *Engine) Len() int {
 func (e *Engine) PendingLen() int {
 	e.mu.Lock()
 	defer e.mu.Unlock()
-	if e.opts.StringKeys {
-		return len(e.pendingS)
-	}
-	return len(e.pending)
+	return e.keys.pendingLen()
 }
 
+func (p *delta[K]) pendingLen() int { return len(p.pending) }
+
 // Keys returns all served keys, sorted ascending — a fresh merged copy.
-func (e *Engine) Keys() []uint64 {
-	if e.opts.StringKeys {
-		panic("storage: uint64 read on a string-keyed engine")
-	}
-	segs := *e.segs.Load()
-	total := 0
-	for _, s := range segs {
-		total += len(s.keys)
-	}
-	out := make([]uint64, 0, total)
-	for _, s := range segs {
-		out = append(out, s.keys...)
-	}
-	slices.Sort(out)
-	return out
-}
+func (e *Engine) Keys() []uint64 { return keyed[uint64](e, "read").served(*e.segs.Load()) }
 
 // KeysStrings returns all served string keys, sorted ascending — a fresh
 // merged copy.
-func (e *Engine) KeysStrings() []string {
-	if !e.opts.StringKeys {
-		panic("storage: string read on a uint64-keyed engine")
-	}
-	segs := *e.segs.Load()
-	total := 0
-	for _, s := range segs {
-		total += len(s.strs)
-	}
-	out := make([]string, 0, total)
-	for _, s := range segs {
-		out = append(out, s.strs...)
-	}
-	slices.Sort(out)
-	return out
-}
+func (e *Engine) KeysStrings() []string { return keyed[string](e, "read").served(*e.segs.Load()) }
 
 // Stats snapshots the engine's observable state: a typed view over the
 // registry counters plus the segment list. Segment-derived fields and the
@@ -1451,7 +1150,7 @@ func (e *Engine) Stats() Stats {
 		st.DiskBytes += s.diskBytes
 	}
 	e.mu.Lock()
-	st.PendingKeys = len(e.pending) + len(e.pendingS)
+	st.PendingKeys = e.keys.pendingLen()
 	if e.wal != nil {
 		st.WALBytes = e.wal.size
 	}
@@ -1489,7 +1188,7 @@ func (e *Engine) collect(s *obs.Snapshot) {
 	s.SetGauge("lix_storage_pinned_segments", float64(pinned))
 	s.SetGauge("lix_storage_compaction_debt", float64(compactionDebt(segs, e.opts.CompactFanout)))
 	e.mu.Lock()
-	pending := len(e.pending) + len(e.pendingS)
+	pending := e.keys.pendingLen()
 	var walBytes int64
 	if e.wal != nil {
 		walBytes = e.wal.size
@@ -1651,18 +1350,7 @@ func (e *Engine) compactOnce() (bool, error) {
 	// Heavy work off the lock: merge the disjoint sorted runs and train
 	// the replacement. Readers keep serving the old list meanwhile.
 	compactStart := time.Now()
-	var seg *segment
-	err := e.retryIO(func() error {
-		var werr error
-		if e.opts.StringKeys {
-			merged := mergeRunsStr(run)
-			seg, werr = writeStringSegment(e.fs, e.m.ioErrors, e.dir, run[0].seqLo, run[len(run)-1].seqHi, merged, e.opts.Config, e.opts.BloomFPR)
-		} else {
-			merged := mergeRuns(run)
-			seg, werr = writeSegment(e.fs, e.m.ioErrors, e.dir, run[0].seqLo, run[len(run)-1].seqHi, merged, e.opts.Config, e.opts.BloomFPR)
-		}
-		return werr
-	})
+	seg, err := e.keys.compactRun(e, run)
 	if err != nil {
 		// Segment-plane failure past its retries: the inputs stay live and
 		// every key stays served, but the engine stops taking writes.
@@ -1702,57 +1390,23 @@ func (e *Engine) compactOnce() (bool, error) {
 	return true, nil
 }
 
-// mergeRuns k-way merges disjoint sorted key arrays into one fresh
-// array: a head-comparison merge (the run count is capped at 2x the
-// compaction fanout, so the linear head scan beats a heap) instead of
-// concatenate-and-sort — no O(total log total) sort, no sort scratch,
-// just the exact-size output that the new segment retains.
-func mergeRuns(run []*segment) []uint64 {
-	total := 0
-	for _, s := range run {
-		total += len(s.keys)
-	}
-	out := make([]uint64, 0, total)
-	var heads [16]int
-	var hs []int
-	if len(run) <= len(heads) {
-		hs = heads[:len(run)]
-	} else {
-		hs = make([]int, len(run))
-	}
-	for {
-		best := -1
-		var bk uint64
-		for s, h := range hs {
-			if h >= len(run[s].keys) {
-				continue
-			}
-			if k := run[s].keys[h]; best < 0 || k < bk {
-				best, bk = s, k
-			}
-		}
-		if best < 0 {
-			return out
-		}
-		hs[best]++
-		// Runs are disjoint by the segment invariant; the adjacency check
-		// keeps a violated invariant from ever minting duplicate keys.
-		if n := len(out); n > 0 && out[n-1] == bk {
-			continue
-		}
-		out = append(out, bk)
-	}
+// compactRun merges run's disjoint sorted key arrays and trains the
+// replacement segment covering the run's sequence range.
+func (p *delta[K]) compactRun(e *Engine, run []*segment) (*segment, error) {
+	return p.trainSegment(e, run[0].seqLo, run[len(run)-1].seqHi, p.merge(run))
 }
 
-// mergeRunsStr is mergeRuns over string-keyed segments: the same capped
-// head-comparison k-way merge, producing the exact sorted unique key set
-// the replacement segment retains.
-func mergeRunsStr(run []*segment) []string {
+// merge k-way merges disjoint sorted key arrays into one fresh array: a
+// head-comparison merge (the run count is capped at 2x the compaction
+// fanout, so the linear head scan beats a heap) instead of
+// concatenate-and-sort — no O(total log total) sort, no sort scratch,
+// just the exact-size output that the new segment retains.
+func (d *domain[K]) merge(run []*segment) []K {
 	total := 0
 	for _, s := range run {
-		total += len(s.strs)
+		total += len(d.keys(s))
 	}
-	out := make([]string, 0, total)
+	out := make([]K, 0, total)
 	var heads [16]int
 	var hs []int
 	if len(run) <= len(heads) {
@@ -1762,12 +1416,13 @@ func mergeRunsStr(run []*segment) []string {
 	}
 	for {
 		best := -1
-		var bk string
+		var bk K
 		for s, h := range hs {
-			if h >= len(run[s].strs) {
+			ks := d.keys(run[s])
+			if h >= len(ks) {
 				continue
 			}
-			if k := run[s].strs[h]; best < 0 || k < bk {
+			if k := ks[h]; best < 0 || k < bk {
 				best, bk = s, k
 			}
 		}

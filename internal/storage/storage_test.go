@@ -341,7 +341,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := frozen.append(segKeys[:500]); err != nil {
+	if err := uint64Keys.writeRecord(frozen, [][]uint64{segKeys[:500]}); err != nil {
 		t.Fatal(err)
 	}
 	if err := frozen.sync(); err != nil {
@@ -353,7 +353,7 @@ func TestEngineRecoversMultipleWALs(t *testing.T) {
 		t.Fatal(err)
 	}
 	novel := []uint64{5_000_001, 5_000_002, 5_000_003}
-	if err := active.append(novel); err != nil {
+	if err := uint64Keys.writeRecord(active, [][]uint64{novel}); err != nil {
 		t.Fatal(err)
 	}
 	if err := active.sync(); err != nil {

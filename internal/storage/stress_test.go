@@ -1,7 +1,13 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -17,8 +23,42 @@ import (
 // flush, the engine serves every inserted key, Len equals the distinct
 // insert count, and probes from an untouched range miss.
 func TestEngineStressWritePath(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) { stressWritePath(t, uint64Mode) })
+	t.Run("string", func(t *testing.T) { stressWritePath(t, stringMode) })
+}
+
+// keyMode is one key mode's exported write and read calls, so a test body
+// written once over K drives either mode through the public API. key maps
+// a uint64 to the mode's key, preserving order.
+type keyMode[K keyType] struct {
+	strKeys  bool
+	key      func(k uint64) K
+	append   func(e *Engine, keys []K) error
+	commit   func(e *Engine, keys ...K) error
+	contains func(e *Engine, key K) bool
+	lookup   func(e *Engine, key K) int
+}
+
+var uint64Mode = keyMode[uint64]{
+	key:      func(k uint64) uint64 { return k },
+	append:   (*Engine).AppendBatch,
+	commit:   (*Engine).Commit,
+	contains: (*Engine).Contains,
+	lookup:   (*Engine).Lookup,
+}
+
+var stringMode = keyMode[string]{
+	strKeys:  true,
+	key:      func(k uint64) string { return fmt.Sprintf("%016x", k) },
+	append:   (*Engine).AppendStringBatch,
+	commit:   (*Engine).CommitString,
+	contains: (*Engine).ContainsString,
+	lookup:   (*Engine).LookupString,
+}
+
+func stressWritePath[K keyType](t *testing.T, m keyMode[K]) {
 	dir := t.TempDir()
-	e := openT(t, dir, Options{CompactFanout: 3})
+	e := openT(t, dir, Options{CompactFanout: 3, StringKeys: m.strKeys})
 	defer e.Close()
 
 	const (
@@ -39,11 +79,11 @@ func TestEngineStressWritePath(t *testing.T) {
 			rng := rand.New(rand.NewSource(int64(100 + g)))
 			base := uint64(g) * writerStride
 			for i := 0; i < keysPerGor; i += 8 {
-				batch := make([]uint64, 0, 8)
+				batch := make([]K, 0, 8)
 				for j := 0; j < 8 && i+j < keysPerGor; j++ {
-					batch = append(batch, base+uint64(i+j))
+					batch = append(batch, m.key(base+uint64(i+j)))
 				}
-				if err := e.AppendBatch(batch); err != nil {
+				if err := m.append(e, batch); err != nil {
 					errCh <- err
 					return
 				}
@@ -64,11 +104,11 @@ func TestEngineStressWritePath(t *testing.T) {
 			defer wg.Done()
 			base := uint64(writers+g) * writerStride
 			for i := 0; i < keysPerGor; i += 4 {
-				batch := make([]uint64, 0, 4)
+				batch := make([]K, 0, 4)
 				for j := 0; j < 4 && i+j < keysPerGor; j++ {
-					batch = append(batch, base+uint64(i+j))
+					batch = append(batch, m.key(base+uint64(i+j)))
 				}
-				if err := e.Commit(batch...); err != nil {
+				if err := m.commit(e, batch...); err != nil {
 					errCh <- err
 					return
 				}
@@ -108,9 +148,9 @@ func TestEngineStressWritePath(t *testing.T) {
 					return
 				default:
 				}
-				k := uint64(rng.Intn(writers+committers))*writerStride + uint64(rng.Intn(keysPerGor))
-				e.Contains(k)
-				e.Lookup(k)
+				k := m.key(uint64(rng.Intn(writers+committers))*writerStride + uint64(rng.Intn(keysPerGor)))
+				m.contains(e, k)
+				m.lookup(e, k)
 				e.Len()
 				e.Stats()
 			}
@@ -139,14 +179,14 @@ func TestEngineStressWritePath(t *testing.T) {
 	for g := 0; g < writers+committers; g++ {
 		base := uint64(g) * writerStride
 		for i := 0; i < keysPerGor; i += 37 {
-			if !e.Contains(base + uint64(i)) {
+			if !m.contains(e, m.key(base+uint64(i))) {
 				t.Fatalf("lost key %d from writer %d", base+uint64(i), g)
 			}
 		}
 	}
 	for i := 0; i < 500; i++ {
 		k := uint64(writers+committers+1)*writerStride + uint64(i)
-		if e.Contains(k) {
+		if m.contains(e, m.key(k)) {
 			t.Fatalf("phantom key %d", k)
 		}
 	}
@@ -198,5 +238,95 @@ func TestEngineCommitDurabilityContract(t *testing.T) {
 		if !re.Contains(k) {
 			t.Fatalf("committed key %d lost across reopen", k)
 		}
+	}
+}
+
+// TestWALChunkBoundaries drives an Append and a Commit one key past the
+// WAL record bound in each key mode (maxAppendChunk keys for uint64,
+// maxStringChunkBytes encoded bytes for strings). Each batch must split
+// into two records, every key must recover from a crash copy, and the
+// replication sink must receive every key exactly once.
+func TestWALChunkBoundaries(t *testing.T) {
+	t.Run("uint64", func(t *testing.T) {
+		chunkBoundaries(t, uint64Mode, uint64Keys, maxAppendChunk+1)
+	})
+	t.Run("string", func(t *testing.T) {
+		// 16-byte keys padded to 1022 bytes plus a 2-byte length prefix:
+		// exactly 1 KiB each, so maxStringChunkBytes/1024 keys fill a record.
+		pad := strings.Repeat("~", 1022-16)
+		m := stringMode
+		m.key = func(k uint64) string { return fmt.Sprintf("%016x", k) + pad }
+		chunkBoundaries(t, m, stringKeys, maxStringChunkBytes/1024+1)
+	})
+}
+
+func chunkBoundaries[K keyType](t *testing.T, m keyMode[K], d *domain[K], n int) {
+	dir := t.TempDir()
+	e := openT(t, dir, Options{StringKeys: m.strKeys, NoCompactor: true})
+	defer e.Close()
+	var mu sync.Mutex
+	var shipped []K
+	e.SetReplSink(func(frames []ReplFrame) {
+		mu.Lock()
+		defer mu.Unlock()
+		for i := range frames {
+			shipped = append(shipped, *d.frameKeys(&frames[i])...)
+		}
+	})
+	appended, committed := make([]K, n), make([]K, n)
+	for i := 0; i < n; i++ {
+		appended[i], committed[i] = m.key(uint64(i)), m.key(uint64(n+i))
+	}
+	if err := m.append(e, appended); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.commit(e, committed...); err != nil {
+		t.Fatal(err)
+	}
+	want := append(slices.Clone(appended), committed...)
+
+	// The commit's fsync covered both batches: the live log holds two
+	// records per batch.
+	walImg, err := os.ReadFile(filepath.Join(dir, d.walName(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	records := 0
+	for off := 0; off+walHeaderLen <= len(walImg); records++ {
+		off += walHeaderLen + int(binary.LittleEndian.Uint32(walImg[off:]))
+	}
+	if records != 4 {
+		t.Fatalf("WAL holds %d records, want 4 (each batch split in two)", records)
+	}
+	if got, _ := d.replay(walImg); !slices.Equal(got, want) {
+		t.Fatalf("WAL replays %d keys, want %d in append order", len(got), len(want))
+	}
+
+	mu.Lock()
+	got := slices.Clone(shipped)
+	mu.Unlock()
+	if !slices.Equal(got, want) {
+		t.Fatalf("sink received %d keys, want each of %d exactly once in order", len(got), len(want))
+	}
+
+	crashDir := t.TempDir()
+	ents, err := os.ReadDir(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, ent := range ents {
+		data, err := os.ReadFile(filepath.Join(dir, ent.Name()))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(filepath.Join(crashDir, ent.Name()), data, 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	r := openT(t, crashDir, Options{StringKeys: m.strKeys, NoCompactor: true})
+	defer r.Close()
+	slices.Sort(want)
+	if got := d.served(*r.segs.Load()); !slices.Equal(got, want) {
+		t.Fatalf("crash copy recovered %d keys, want %d", len(got), len(want))
 	}
 }

@@ -2,12 +2,14 @@ package storage
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"os"
 	"path/filepath"
 	"slices"
 	"sort"
+	"strings"
 	"testing"
 
 	"learnedindex/internal/vfs"
@@ -266,6 +268,11 @@ func TestEngineModeMismatch(t *testing.T) {
 	mustPanic("ContainsString", func() { eu2.ContainsString("x") })
 	mustPanic("LookupString", func() { eu2.LookupString("x") })
 	mustPanic("KeysStrings", func() { eu2.KeysStrings() })
+	mustPanic("AppendStringBatch", func() { eu2.AppendStringBatch([]string{"x"}) })
+	mustPanic("CommitStringBatch", func() { eu2.CommitStringBatch([]string{"x"}) })
+	mustPanic("CountRangeStr", func() { eu2.CountRangeStr("a", "b", true) })
+	mustPanic("AcquireSnapshotRangeStr", func() { eu2.AcquireSnapshotRangeStr("a", "b", true) })
+	mustPanic("ReplSnapshotStrings", func() { eu2.ReplSnapshotStrings() })
 	es2 := openT(t, t.TempDir(), Options{StringKeys: true})
 	defer es2.Close()
 	mustPanic("Append", func() { es2.Append(1) })
@@ -273,6 +280,41 @@ func TestEngineModeMismatch(t *testing.T) {
 	mustPanic("Contains", func() { es2.Contains(1) })
 	mustPanic("Lookup", func() { es2.Lookup(1) })
 	mustPanic("Keys", func() { es2.Keys() })
+	mustPanic("AppendBatch", func() { es2.AppendBatch([]uint64{1}) })
+	mustPanic("CommitBatch", func() { es2.CommitBatch([]uint64{1}) })
+	mustPanic("CountRange", func() { es2.CountRange(1, 2) })
+	mustPanic("AcquireSnapshot", func() { es2.AcquireSnapshot() })
+	mustPanic("AcquireSnapshotRange", func() { es2.AcquireSnapshotRange(1, 2) })
+	mustPanic("LookupBatchSorted", func() { es2.LookupBatchSorted([]uint64{1}, make([]int, 1)) })
+	mustPanic("ContainsBatch", func() { es2.ContainsBatch([]uint64{1}, make([]bool, 1)) })
+	mustPanic("ReplSnapshot", func() { es2.ReplSnapshot() })
+}
+
+// TestCommitRefusesOversizedKey: a string key whose one-key WAL record
+// cannot fit maxWALRecord is refused up front with a plain error, before
+// it joins a cohort — it must not poison the engine for every later
+// writer.
+func TestCommitRefusesOversizedKey(t *testing.T) {
+	dir := t.TempDir()
+	e := openT(t, dir, Options{StringKeys: true, NoCompactor: true})
+	err := e.CommitString(strings.Repeat("x", maxWALRecord))
+	if err == nil || errors.Is(err, ErrPoisoned) {
+		t.Fatalf("oversized commit: err=%v, want a plain refusal", err)
+	}
+	if h, herr := e.Health(); h != HealthOK {
+		t.Fatalf("Health after a refused commit = %v (%v), want ok", h, herr)
+	}
+	if err := e.CommitString("a"); err != nil {
+		t.Fatalf("commit after a refused one: %v", err)
+	}
+	if err := e.Close(); err != nil {
+		t.Fatal(err)
+	}
+	re := openT(t, dir, Options{StringKeys: true, NoCompactor: true})
+	defer re.Close()
+	if !re.ContainsString("a") || re.Len() != 1 {
+		t.Fatalf("after reopen: Contains(a)=%v Len=%d, want true 1", re.ContainsString("a"), re.Len())
+	}
 }
 
 // TestStringSnapshotCountRange cross-checks the codec-index COUNT against
@@ -318,8 +360,8 @@ func FuzzWALStringReplay(f *testing.F) {
 	if err != nil {
 		f.Fatal(err)
 	}
-	w.appendStrings([]string{"alpha", "", "x\x00y"})
-	w.appendStrings([]string{"beta"})
+	stringKeys.writeRecord(w, [][]string{{"alpha", "", "x\x00y"}})
+	stringKeys.writeRecord(w, [][]string{{"beta"}})
 	w.w.Flush()
 	img, _ := os.ReadFile(w.path)
 	w.close()
@@ -327,12 +369,12 @@ func FuzzWALStringReplay(f *testing.F) {
 	f.Add([]byte{})
 	f.Add(bytes.Repeat([]byte{0xff}, 40))
 	f.Fuzz(func(t *testing.T, data []byte) {
-		keys, good := replayWALStrings(data)
+		keys, good := stringKeys.replay(data)
 		if good < 0 || good > int64(len(data)) {
 			t.Fatalf("good offset %d out of range", good)
 		}
 		// Replaying the intact prefix must yield the same keys.
-		again, g2 := replayWALStrings(data[:good])
+		again, g2 := stringKeys.replay(data[:good])
 		if g2 != good || !slices.Equal(keys, again) {
 			t.Fatal("replay of the intact prefix disagrees")
 		}

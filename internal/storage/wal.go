@@ -18,6 +18,8 @@ import (
 //	[payloadLen uint32 LE][crc32c(payload) uint32 LE][payload]
 //	payload = uvarint keyCount, then keyCount uvarint keys
 //
+// for uint64 logs; string logs length-prefix each key (see stringKeys).
+//
 // Durability contract: Append is buffered; only Sync makes previously
 // appended records crash-safe (flush + fsync). Concurrent committers are
 // group-committed: a whole cohort's keys are encoded as one frame and
@@ -97,11 +99,11 @@ func newWAL(fs vfs.FS, path string) (*wal, error) {
 	return &wal{f: f, w: bufio.NewWriter(f), path: path}, nil
 }
 
-// replayWAL scans data for intact records and returns the decoded keys
+// replay scans data for intact records and returns the decoded keys
 // plus the byte offset of the end of the last intact record — the
 // truncation point for everything after it. It never panics on arbitrary
 // input and never returns a key from a frame that fails validation.
-func replayWAL(data []byte) (keys []uint64, good int64) {
+func (d *domain[K]) replay(data []byte) (keys []K, good int64) {
 	off := 0
 	for {
 		if len(data)-off < walHeaderLen {
@@ -118,13 +120,17 @@ func replayWAL(data []byte) (keys []uint64, good int64) {
 		}
 		r := binenc.NewReader(payload)
 		n := r.Count(plen, 1)
-		recKeys := make([]uint64, 0, n)
+		recKeys := make([]K, 0, n)
 		for i := 0; i < n; i++ {
-			recKeys = append(recKeys, r.Uvarint())
+			k, ok := d.decode(r)
+			if !ok {
+				break
+			}
+			recKeys = append(recKeys, k)
 		}
 		// A checksummed record must decode exactly; leftovers or a decode
 		// error mean the frame was written by something else — stop here.
-		if r.Err() != nil || r.Remaining() != 0 {
+		if r.Err() != nil || r.Remaining() != 0 || len(recKeys) != n {
 			return keys, int64(off)
 		}
 		keys = append(keys, recKeys...)
@@ -137,16 +143,11 @@ func replayWAL(data []byte) (keys []uint64, good int64) {
 // built in a pooled scratch and memcpy'd into the write buffer.
 var walBufPool slicepool.Pool[byte]
 
-// append frames keys as one record into the write buffer.
-func (w *wal) append(keys []uint64) error {
-	return w.appendBatches([][]uint64{keys})
-}
-
-// appendBatches frames all batches as ONE record — the group-commit frame:
+// writeRecord frames all batches as ONE record — the group-commit frame:
 // a whole cohort of committers shares a single header, checksum, and
-// (later) fsync. The caller keeps batches non-empty and the total key
-// count within maxAppendChunk.
-func (w *wal) appendBatches(batches [][]uint64) error {
+// (later) fsync. The caller keeps batches non-empty and their total
+// weight within chunkLimit.
+func (d *domain[K]) writeRecord(w *wal, batches [][]K) error {
 	total := 0
 	for _, b := range batches {
 		total += len(b)
@@ -154,81 +155,11 @@ func (w *wal) appendBatches(batches [][]uint64) error {
 	payload := walBufPool.Get()
 	payload = binenc.AppendUvarint(payload, uint64(total))
 	for _, b := range batches {
-		for _, k := range b {
-			payload = binenc.AppendUvarint(payload, k)
-		}
+		payload = d.encode(payload, b)
 	}
 	err := w.writeFrame(payload)
 	walBufPool.Put(payload)
 	return err
-}
-
-// appendStrings frames string keys as one record. String payloads carry
-// each key length-prefixed:
-//
-//	payload = uvarint keyCount, then keyCount × (uvarint len, len bytes)
-//
-// and live only in wals-*.log files (see walStrFileName), so the two
-// payload grammars never meet the wrong decoder.
-func (w *wal) appendStrings(keys []string) error {
-	return w.appendStringBatches([][]string{keys})
-}
-
-// appendStringBatches is appendBatches for string keys: the whole cohort
-// shares one frame, checksum, and fsync. The caller keeps batches
-// non-empty and the total encoded size within maxWALRecord.
-func (w *wal) appendStringBatches(batches [][]string) error {
-	total := 0
-	for _, b := range batches {
-		total += len(b)
-	}
-	payload := walBufPool.Get()
-	payload = binenc.AppendUvarint(payload, uint64(total))
-	for _, b := range batches {
-		for _, k := range b {
-			payload = binenc.AppendUvarint(payload, uint64(len(k)))
-			payload = append(payload, k...)
-		}
-	}
-	err := w.writeFrame(payload)
-	walBufPool.Put(payload)
-	return err
-}
-
-// replayWALStrings is replayWAL for string-keyed logs: intact records
-// decode to their keys, the first invalid frame truncates the tail, and
-// arbitrary input never panics or surfaces a partially decoded frame.
-func replayWALStrings(data []byte) (keys []string, good int64) {
-	off := 0
-	for {
-		if len(data)-off < walHeaderLen {
-			return keys, int64(off)
-		}
-		plen := int(binary.LittleEndian.Uint32(data[off:]))
-		sum := binary.LittleEndian.Uint32(data[off+4:])
-		if plen > maxWALRecord || len(data)-off-walHeaderLen < plen {
-			return keys, int64(off)
-		}
-		payload := data[off+walHeaderLen : off+walHeaderLen+plen]
-		if crc32.Checksum(payload, crcTable) != sum {
-			return keys, int64(off)
-		}
-		r := binenc.NewReader(payload)
-		n := r.Count(plen, 1)
-		recKeys := make([]string, 0, n)
-		for i := 0; i < n; i++ {
-			l := r.Uvarint()
-			if r.Err() != nil || l > uint64(r.Remaining()) {
-				break
-			}
-			recKeys = append(recKeys, string(r.Take(int(l))))
-		}
-		if r.Err() != nil || r.Remaining() != 0 || len(recKeys) != n {
-			return keys, int64(off)
-		}
-		keys = append(keys, recKeys...)
-		off += walHeaderLen + plen
-	}
 }
 
 // writeFrame checksums payload and writes the framed record into the
